@@ -28,7 +28,7 @@ import os
 import shutil
 import tempfile
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -36,12 +36,7 @@ import numpy as np
 from repro.mapreduce.api import MapContext, ReduceContext
 from repro.mapreduce.codecs import cost_categories, get_codec
 from repro.mapreduce.columnar import PartitionBuffer
-from repro.mapreduce.ifile import (
-    IFileCorruptError,
-    IFileReader,
-    IFileStats,
-    IFileWriter,
-)
+from repro.mapreduce.ifile import IFileReader, IFileStats, IFileWriter
 from repro.mapreduce.job import Job
 from repro.mapreduce.metrics import C, Counters, TaskProfile
 from repro.mapreduce.sort import (
@@ -640,35 +635,36 @@ def _merge_group_reduce(
 class LocalJobRunner:
     """Run :class:`~repro.mapreduce.job.Job` objects against a dataset.
 
-    Executes every task serially in-process.  Usable as a context
-    manager: leaving the ``with`` block removes an owned (auto-created)
-    workdir even when files were kept or a task failed.
+    The inline executor of the recovery policy: every task runs
+    serially, in-process, through the same attempt body
+    (:func:`~repro.mapreduce.runtime.worker.run_attempt`) and the same
+    :class:`~repro.mapreduce.runtime.policy.RecoveryPolicy` as the
+    parallel runtime's worker processes, so output and counters match
+    it byte for byte under every fault the serial runner can host.  The
+    policy runs with ``max_retries=0``: a failure that would charge a
+    retry re-raises the original exception instead.  Usable as a
+    context manager: leaving the ``with`` block removes an owned
+    (auto-created) workdir even when files were kept or a task failed.
 
-    ``fault_injector`` accepts the data-shaped faults that make sense
-    without worker processes -- ``poison``, ``corrupt``, and ``fetch``
-    -- so the same failure ladder (strict attempt -> repair segment ->
-    skipping mode -> quarantine) can be exercised and compared
-    byte-for-byte against the parallel runtime.  Process-level modes
-    (``kill`` / ``crash`` / ``hang`` / ``stall``) are rejected: there
-    is no worker process to kill.
+    ``fault_injector`` accepts the faults that need no worker process
+    -- ``poison``, ``corrupt``, ``oom``, ``fetch`` and the host-level
+    ones -- and rejects ``kill`` / ``crash`` / ``hang`` / ``stall``:
+    there is no worker process to fail.
 
     ``shuffle`` selects the transport reducers fetch map segments
-    through (default: direct reads).  A reduce whose fetch retries are
-    exhausted charges the producing map a strike; at
-    ``fetch_failure_threshold`` strikes the map is re-executed in place
-    (bumping its fetch *epoch*, which is how epoch-pinned fetch faults
-    stop applying), at most ``max_map_reexecs`` times per map -- the
-    same escalation the parallel scheduler performs across processes.
-
-    Host-level faults are also honored, keyed by the stable task->host
-    hash (``num_hosts`` buckets): ``host_crash`` re-executes every
-    completed map homed on the host at the shuffle barrier (at most
-    ``max_host_reexecs`` per host), ``host_partition`` expands into
-    deterministic per-link fetch drops healed by the retry ladder, and
-    ``disk_fault`` fails the affected tasks' spills over to a spare
-    workdir, quarantining the bad one -- each byte-identical in output
-    and counters to the parallel runtime's handling.
+    through (default: direct reads).  ``fetch_failure_threshold`` and
+    ``max_map_reexecs`` bound the fetch-failure ladder, and
+    ``max_host_reexecs`` the maps re-executed per crashed host; a
+    re-executed map re-runs in place over its old segments.  Host
+    faults are keyed by the stable task->host hash over ``num_hosts``
+    buckets: ``host_crash`` applies at the shuffle barrier,
+    ``host_partition`` expands into per-link fetch drops healed by the
+    retry ladder, and ``disk_fault`` fails a task's spills over to a
+    spare workdir.
     """
+
+    #: fault modes an in-process attempt can host
+    INLINE_FAULTS = ("poison", "corrupt", "oom")
 
     def __init__(self, workdir: str | None = None, keep_files: bool = False,
                  fault_injector: Any = None, *,
@@ -677,18 +673,8 @@ class LocalJobRunner:
                  max_map_reexecs: int = 2,
                  num_hosts: int = 2,
                  max_host_reexecs: int = 2) -> None:
-        if fetch_failure_threshold < 1:
-            raise ValueError(
-                f"fetch_failure_threshold must be >= 1, "
-                f"got {fetch_failure_threshold}")
-        if max_map_reexecs < 0:
-            raise ValueError(
-                f"max_map_reexecs must be >= 0, got {max_map_reexecs}")
         if num_hosts < 1:
             raise ValueError(f"num_hosts must be >= 1, got {num_hosts}")
-        if max_host_reexecs < 0:
-            raise ValueError(
-                f"max_host_reexecs must be >= 0, got {max_host_reexecs}")
         self._own_workdir = workdir is None
         self.workdir = workdir or tempfile.mkdtemp(prefix="repro-mr-")
         self.keep_files = keep_files
@@ -698,12 +684,7 @@ class LocalJobRunner:
         self.max_map_reexecs = max_map_reexecs
         self.num_hosts = num_hosts
         self.max_host_reexecs = max_host_reexecs
-        #: planned disk faults by home host (populated per run)
-        self._disk_plan: dict[str, Any] = {}
-        #: ledger telemetry accumulated across tasks (reset per run)
-        self._memory_tally: dict[str, Any] = {
-            "oom_events": 0, "degraded_attempts": 0, "peak_bytes": 0,
-            "backpressure_waits": 0, "used_budget": False}
+        self._new_policy()  # rejects bad bounds at construction
         os.makedirs(self.workdir, exist_ok=True)
 
     def __enter__(self) -> "LocalJobRunner":
@@ -745,605 +726,130 @@ class LocalJobRunner:
 
     def _run_all(self, job: Job, dataset: Dataset,
                  splits: Sequence[InputSplit]) -> JobResult:
-        counters = Counters()
-        profiles: list[TaskProfile] = []
-        map_stats = IFileStats()
-        self._memory_tally = {
-            "oom_events": 0,
-            "degraded_attempts": 0,
-            "peak_bytes": 0,
-            "backpressure_waits": 0,
-            "used_budget": False,
-        }
+        # The runtime modules import the task functions above, so they
+        # are imported here rather than at the top.
+        from repro.mapreduce.runtime.jobstate import (
+            MapOutputs,
+            assemble_result,
+            new_memory_tally,
+            prepare_host_faults,
+        )
 
-        host_plan = self._prepare_host_faults(job, splits)
+        map_ids = [f"m{s.split_id:05d}" for s in splits]
+        reduce_ids = [f"r{p:05d}" for p in range(job.num_reducers)]
+        host_plan = prepare_host_faults(self.fault_injector, self.shuffle,
+                                        map_ids, reduce_ids, self.num_hosts)
+        policy = self._new_policy()
+        maps = MapOutputs(job, dataset, splits)
+        tally = new_memory_tally()
+        disk_faults = {h: f for h, f in host_plan.items()
+                       if f.mode == "disk_fault"}
 
-        map_outputs: list[MapTaskOutput] = []
-        for split in splits:
-            mo = self._run_map(job, split, dataset)
-            map_outputs.append(mo)
-            counters.merge(mo.counters)
-            profiles.append(mo.profile)
-            for _, stats in mo.segments.values():
-                map_stats.merge(stats)
+        def run_task(task_id: str, kind: str, payload) -> Any:
+            return self._run_task(task_id, kind, payload, job, dataset,
+                                  policy, maps, tally, disk_faults)
 
-        # Fetch-failure escalation state shared across partitions: one
-        # map's strikes accumulate over every reduce that fails to fetch
-        # it, and an epoch bump is visible to all later partitions.  With
-        # the network transport, the state also carries the live shuffle
-        # service so reduce refs can be addressed and re-executions
-        # re-registered.
-        shuffle_state = {
-            "strikes": {mo.task_id: 0 for mo in map_outputs},
-            "epochs": {mo.task_id: 0 for mo in map_outputs},
-            "reexecs": {mo.task_id: 0 for mo in map_outputs},
-            "total_reexecs": 0,
-            "service": None,
-        }
-        service = self._make_shuffle_service()
-        output: list[tuple[Any, Any]] = []
-        hosts_lost = 0
-        host_reexecs = 0
+        for map_id, split in maps.splits.items():
+            maps.results[map_id] = run_task(map_id, "map",
+                                            lambda split=split: split)
+
+        maps.start_service(self._make_shuffle_service())
         try:
-            if service is not None:
-                service.start()
-                shuffle_state["service"] = service
-                for mo in map_outputs:
-                    service.register_map_output(
-                        mo.task_id,
-                        [path for path, _ in mo.segments.values()], epoch=0)
+            if getattr(self.shuffle, "pipeline", False):
+                # Serial pipeline mode: reduces consume the pipelined
+                # body against a complete commit log -- the degenerate
+                # no-overlap case, byte-identical to the barrier path.
+                maps.open_commitlog(self.workdir)
+            for map_id, mo in list(maps.results.items()):
+                maps.publish(map_id, mo)
             # Shuffle barrier: whole-host crashes land here, exactly
-            # where Hadoop's lost-tasktracker handling runs -- every
-            # completed map whose only segment copies lived on the dead
-            # host is re-executed before any reducer fetches.
-            hosts_lost, host_reexecs = self._apply_host_crashes(
-                job, dataset, splits, map_outputs, shuffle_state, host_plan)
-            if self.shuffle is not None and getattr(self.shuffle,
-                                                    "pipeline", False):
-                # Serial pipeline mode: publish a fully-populated commit
-                # log (maps are all done here, at their final epochs)
-                # and run reduces through the pipelined body -- the
-                # degenerate no-overlap case, byte-identical to the
-                # barrier path and counter-comparable with a pipelined
-                # parallel run.
-                self._publish_commit_log(map_outputs, shuffle_state)
-            pipeline_per_task: list[dict] = []
-            for part in range(job.num_reducers):
-                rr = self._run_reduce(job, part, map_outputs, dataset, splits,
-                                      shuffle_state)
-                output.extend(rr.output)
-                counters.merge(rr.counters)
-                profiles.append(rr.profile)
-                if rr.pipeline is not None:
-                    pipeline_per_task.append(rr.pipeline)
+            # where Hadoop's lost-tasktracker handling runs.
+            for host in sorted(h for h, f in host_plan.items()
+                               if f.mode == "host_crash"):
+                maps.crash_host(host, policy, self.num_hosts)
+            plan = None
+            if maps.commitlog is not None:
+                from repro.mapreduce.runtime.pipeline import PipelinePlan
+                plan = PipelinePlan(commit_dir=maps.commitlog.directory,
+                                    map_ids=tuple(map_ids))
+            reduces = [
+                run_task(reduce_id, "reduce",
+                         lambda part=part: (part, plan or maps.refs(part)))
+                for part, reduce_id in enumerate(reduce_ids)]
         finally:
-            if service is not None:
-                service.stop()
-        if shuffle_state["total_reexecs"]:
-            # Job-level event, like the parallel runner: task counters of
-            # a re-executed map are identical by determinism.
-            counters.incr(C.MAPS_REEXECUTED, shuffle_state["total_reexecs"])
-        if hosts_lost:
-            counters.incr(C.HOSTS_LOST, hosts_lost)
-        if host_reexecs:
-            counters.incr(C.MAPS_REEXECUTED_HOST, host_reexecs)
-        if self._disk_plan:
-            # One failover per task homed on a disk-faulted host -- a
-            # pure function of the plan, so the parallel runner counts
-            # the identical number without plumbing worker flags.
-            from repro.mapreduce.runtime.hosts import host_for
-            task_ids = ([mo.task_id for mo in map_outputs]
-                        + [f"r{p:05d}" for p in range(job.num_reducers)])
-            affected = sum(1 for t in task_ids
-                           if host_for(t, self.num_hosts) in self._disk_plan)
-            if affected:
-                counters.incr(C.DISK_FAILOVERS, affected)
-        if self._memory_tally["oom_events"]:
-            # Job-level, like MAPS_REEXECUTED: deterministic under an
-            # injected fault plan, so serial and parallel runs count
-            # identically; clean runs leave them zero (== absent).
-            counters.incr(C.MEMORY_OOM_EVENTS,
-                          self._memory_tally["oom_events"])
-            counters.incr(C.MEMORY_DEGRADED_ATTEMPTS,
-                          self._memory_tally["degraded_attempts"])
+            if maps.service is not None:
+                maps.service.stop()
 
         if not self.keep_files:
-            self._cleanup(map_outputs)
+            self._cleanup(maps.results.values(), bool(disk_faults))
+        return assemble_result(job, maps, reduces, policy, tally, host_plan,
+                               self.num_hosts, self.shuffle)
 
-        pipeline_stats = None
-        if pipeline_per_task:
-            from repro.mapreduce.runtime.pipeline import (
-                aggregate_pipeline_stats,
-            )
-            pipeline_stats = aggregate_pipeline_stats(pipeline_per_task)
-        memory_stats = None
-        if self._memory_tally["used_budget"]:
-            memory_stats = {
-                "budget": (getattr(self.shuffle, "memory_budget", None)
-                           if self.shuffle is not None else None),
-                "peak_bytes": self._memory_tally["peak_bytes"],
-                "backpressure_waits":
-                    self._memory_tally["backpressure_waits"],
-                "oom_events": self._memory_tally["oom_events"],
-                "degraded_attempts":
-                    self._memory_tally["degraded_attempts"],
-            }
-        return JobResult(
-            output=output,
-            counters=counters,
-            task_profiles=profiles,
-            map_output_stats=map_stats,
-            num_map_tasks=len(splits),
-            num_reduce_tasks=job.num_reducers,
-            pipeline_stats=pipeline_stats,
-            memory_stats=memory_stats,
-        )
-
-    # ------------------------------------------------------------- ladder
-    #
-    # The serial failure ladder mirrors the parallel runtime's: a strict
-    # first attempt (zero overhead on the clean path), then -- for
-    # skip-eligible failures under a job SkipPolicy -- a retry in
-    # record-level skipping mode, and -- for whole-segment corruption --
-    # an in-place repair of the producing map task followed by a strict
-    # retry.  The runtime modules are imported lazily because they in
-    # turn import the task functions defined above.
+    def _new_policy(self):
+        from repro.mapreduce.runtime.policy import RecoveryPolicy
+        return RecoveryPolicy(
+            max_retries=0,
+            fetch_failure_threshold=self.fetch_failure_threshold,
+            max_map_reexecs=self.max_map_reexecs,
+            max_memory_retries=getattr(self.shuffle, "max_memory_retries", 2),
+            max_host_reexecs=self.max_host_reexecs)
 
     def _make_shuffle_service(self):
-        """A started-on-demand network shuffle service, or ``None``.
+        """The (unstarted) segment service for the network transport, or
+        ``None``; serial jobs over the network run real loopback servers
+        so the wire path and its counters match the parallel runtime."""
+        from repro.mapreduce.runtime.jobstate import make_service
+        return make_service(self.shuffle, self.fault_injector)
 
-        Serial jobs over ``transport="network"`` run real loopback
-        segment servers so the wire path (and its counters) is
-        byte-comparable with the parallel runtime's.
+    def _run_task(self, task_id: str, kind: str, payload, job: Job,
+                  dataset: Dataset, policy: Any, maps: Any,
+                  tally: dict[str, Any],
+                  disk_faults: dict[str, Any]) -> Any:
+        """Attempt one task until it wins or the policy gives it up.
+
+        ``payload()`` is evaluated per attempt: a reduce retried after a
+        map re-execution reads the fresh segment refs.
         """
-        if (self.shuffle is None
-                or getattr(self.shuffle, "transport", "") != "network"):
-            return None
-        from repro.mapreduce.runtime.netshuffle import ShuffleService
-        faults = (self.fault_injector.fetch_plan()
-                  if self.fault_injector is not None else None)
-        return ShuffleService.from_config(self.shuffle, faults=faults)
-
-    def _publish_commit_log(self, map_outputs: Sequence[MapTaskOutput],
-                            shuffle_state: dict[str, Any]) -> None:
-        """Write every map's commit record at its final (post-host-crash)
-        epoch; reduces then consume the pipelined body against a complete
-        completion-event stream."""
-        from repro.mapreduce.runtime.pipeline import (
-            COMMITS_DIRNAME,
-            CommitLog,
-            CommitRecord,
-        )
-        commit_dir = os.path.join(self.workdir, COMMITS_DIRNAME)
-        shutil.rmtree(commit_dir, ignore_errors=True)
-        log = CommitLog(commit_dir)
-        service = shuffle_state.get("service")
-        for mo in map_outputs:
-            log.commit(CommitRecord(
-                map_id=mo.task_id,
-                epoch=shuffle_state["epochs"][mo.task_id],
-                segments=dict(mo.segments),
-                address=(service.address_for(mo.task_id)
-                         if service is not None else None)))
-        shuffle_state["commitlog"] = log
-        shuffle_state["commit_dir"] = commit_dir
-
-    def _prepare_host_faults(self, job: Job,
-                             splits: Sequence[InputSplit]) -> dict[str, Any]:
-        """Snapshot the host-level fault plan and expand partitions.
-
-        ``host_partition`` faults are rewritten into deterministic
-        per-link fetch ``drop`` faults (clamped to the transport's retry
-        budget, so every link heals in-attempt) *before* any transport
-        or shuffle service snapshots the fetch plan -- retry counters
-        become pure functions of the plan, byte-identical to the
-        parallel runner's.  ``disk_fault`` entries populate
-        ``self._disk_plan`` so task bodies fail over to spare workdirs.
-        """
+        from repro.mapreduce.runtime.hosts import host_for
+        from repro.mapreduce.runtime.jobstate import note_memory
+        from repro.mapreduce.runtime.policy import FAIL, classify, degraded
+        from repro.mapreduce.runtime.worker import run_attempt
         injector = self.fault_injector
-        if injector is None or not hasattr(injector, "host_plan"):
-            self._disk_plan = {}
-            return {}
-        host_plan = injector.host_plan()
-        self._disk_plan = {h: f for h, f in host_plan.items()
-                           if f.mode == "disk_fault"}
-        partitions = sorted((h, f) for h, f in host_plan.items()
-                            if f.mode == "host_partition")
-        if partitions:
-            from repro.mapreduce.runtime.hosts import expand_host_partition
-            retries = (getattr(self.shuffle, "fetch_retries", 3)
-                       if self.shuffle is not None else 3)
-            map_ids = [f"m{s.split_id:05d}" for s in splits]
-            reduce_ids = [f"r{p:05d}" for p in range(job.num_reducers)]
-            for host, fault in partitions:
-                expand_host_partition(
-                    injector, host, map_ids, reduce_ids, self.num_hosts,
-                    drops=min(max(1, fault.record), retries))
-        return host_plan
-
-    def _task_workdir(self, task_id: str) -> str:
-        """Where this task's files live: the runner workdir, or -- when
-        the task's home host has a planned ``disk_fault`` -- the spare
-        volume the failover provisions (marker + quarantine side-file
-        written on first use, idempotently)."""
-        if not self._disk_plan:
-            return self.workdir
-        from repro.mapreduce.runtime.hosts import (
-            host_for,
-            provision_failover_workdir,
-        )
         host = host_for(task_id, self.num_hosts)
-        fault = self._disk_plan.get(host)
-        if fault is None:
-            return self.workdir
-        return provision_failover_workdir(self.workdir, task_id, host, fault)
-
-    def _apply_host_crashes(
-        self,
-        job: Job,
-        dataset: Dataset,
-        splits: Sequence[InputSplit],
-        map_outputs: list[MapTaskOutput],
-        shuffle_state: dict[str, Any],
-        host_plan: dict[str, Any],
-    ) -> tuple[int, int]:
-        """Serial mirror of losing whole hosts at the shuffle barrier.
-
-        For each planned ``host_crash``: the host's segment server dies
-        with it (network transport), and every completed map homed there
-        is proactively re-executed at a bumped epoch -- bounded by
-        ``max_host_reexecs`` completed maps per lost host.  Returns
-        ``(hosts_lost, maps_reexecuted)`` for the job-level counters.
-        """
-        crash_hosts = sorted(h for h, f in host_plan.items()
-                             if f.mode == "host_crash")
-        if not crash_hosts:
-            return 0, 0
-        from repro.mapreduce.runtime.hosts import HostLostError, host_for
-        service = shuffle_state.get("service")
-        by_id = {mo.task_id: i for i, mo in enumerate(map_outputs)}
-        reexecs = 0
-        for host in crash_hosts:
-            lost = [mo.task_id for mo in map_outputs
-                    if host_for(mo.task_id, self.num_hosts) == host]
-            if len(lost) > self.max_host_reexecs:
-                raise HostLostError(
-                    f"{host} lost {len(lost)} completed maps, exceeding "
-                    f"max_host_reexecs={self.max_host_reexecs}")
-            if service is not None:
-                index = int(host.removeprefix("host"))
-                if index < service.num_servers:
-                    # The host's segment server dies with it; the fresh
-                    # registrations below re-spawn it (the re-executed
-                    # maps "run elsewhere" and re-publish).
-                    service.kill_server(index)
-            for map_id in lost:
-                if service is not None:
-                    service.invalidate(map_id)
-                shuffle_state["epochs"][map_id] += 1
-                old = map_outputs[by_id[map_id]]
-                for path, _ in old.segments.values():
-                    try:
-                        os.unlink(path)
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-                split = next(
-                    s for s in splits if f"m{s.split_id:05d}" == map_id)
-                mo = run_map_task(job, split, dataset,
-                                  self._task_workdir(map_id))
-                map_outputs[by_id[map_id]] = mo
-                if service is not None:
-                    service.register_map_output(
-                        map_id, [path for path, _ in mo.segments.values()],
-                        epoch=shuffle_state["epochs"][map_id])
-                reexecs += 1
-        return len(crash_hosts), reexecs
-
-    def _serial_fault(self, task_id: str, attempt: int):
-        """The injected fault for this attempt, if the serial runner can
-        apply it (only data-shaped faults: ``poison``, ``corrupt``, and
-        ``oom`` -- an in-process ``MemoryError`` needs no worker)."""
-        if self.fault_injector is None:
-            return None
-        fault = self.fault_injector.fault_for(task_id, attempt)
-        if fault is not None and fault.mode not in ("poison", "corrupt",
-                                                    "oom"):
-            raise ValueError(
-                f"fault mode {fault.mode!r} is not supported by the "
-                f"serial runner (no worker process to fail)")
-        return fault
-
-    def _max_memory_retries(self) -> int:
-        """OOM-dead attempts of one task the degrade ladder absorbs."""
-        if self.shuffle is not None:
-            return getattr(self.shuffle, "max_memory_retries", 2)
-        return 2
-
-    def _memory_setup(self, job: Job, fault: Any, degrade: int):
-        """The (degraded) job, shuffle config, and armed task budget for
-        one serial attempt.
-
-        ``degrade`` is how many OOM deaths this task has already
-        suffered: each level deterministically halves the sort buffer
-        (floored at the Job minimum) and the fetch byte window -- the
-        identical formula the parallel scheduler applies, so injected
-        OOM runs stay counter-identical across runners.
-        """
-        shuffle = self.shuffle
-        if degrade:
-            job = dc_replace(job, sort_buffer_bytes=max(
-                1024, job.sort_buffer_bytes >> degrade))
-            mib = (getattr(shuffle, "max_inflight_bytes", None)
-                   if shuffle is not None else None)
-            if mib is not None:
-                shuffle = dc_replace(
-                    shuffle, max_inflight_bytes=max(1, mib >> degrade))
-        capacity = (getattr(shuffle, "memory_budget", None)
-                    if shuffle is not None else None)
-        oom = fault is not None and fault.mode == "oom"
-        if capacity is None and not oom:
-            return job, shuffle, None
-        from repro.mapreduce.runtime.memory import MemoryBudget
-        budget = MemoryBudget(capacity)
-        if oom:
-            if fault.op == "raise":
-                budget.fail_next(fault.where)
-            elif fault.op == "alloc":
-                budget.alloc_next(fault.where, fault.record)
-            else:  # "kill": no process to SIGKILL in-process, so the
-                # simulated OOM killer surfaces as a MemoryError and
-                # takes the same degrade ladder
-                def _killed(nbytes: int, _site: str = fault.where) -> None:
-                    raise MemoryError(
-                        f"simulated oom kill: {_site} charged {nbytes} "
-                        f"bytes over threshold")
-                budget.kill_above(fault.record, _killed, site=fault.where)
-        return job, shuffle, budget
-
-    def _note_budget(self, budget: Any) -> None:
-        """Fold one winning attempt's ledger telemetry into the run."""
-        if budget is None:
-            return
-        tally = self._memory_tally
-        tally["used_budget"] = True
-        tally["peak_bytes"] = max(tally["peak_bytes"], budget.peak)
-        tally["backpressure_waits"] += budget.backpressure_waits
-
-    def _run_map(self, job: Job, split: InputSplit,
-                 dataset: Dataset) -> MapTaskOutput:
-        """One map task through the serial failure ladder."""
-        from repro.mapreduce.runtime.fault import corrupt_file, poisoned_job
-        from repro.mapreduce.runtime.skipping import (
-            is_skip_eligible,
-            run_map_task_skipping,
-        )
-        task_id = f"m{split.split_id:05d}"
-        workdir = self._task_workdir(task_id)
+        fetch_faults = (injector.fetch_plan_for(task_id) or None
+                        if injector is not None and kind == "reduce"
+                        else None)
         attempt = 0
-        skip_mode = False
-        degrade = 0
         while True:
-            fault = self._serial_fault(task_id, attempt)
-            eff = (poisoned_job(job, fault, "map")
-                   if fault is not None and fault.mode == "poison" else job)
-            eff, _, budget = self._memory_setup(eff, fault, degrade)
+            fault = (injector.fault_for(task_id, attempt)
+                     if injector is not None else None)
+            if fault is not None and fault.mode not in self.INLINE_FAULTS:
+                raise ValueError(
+                    f"fault mode {fault.mode!r} is not supported by the "
+                    f"serial runner (no worker process to fail)")
+            eff_job, eff_shuffle = degraded(
+                job, self.shuffle, policy.degrade_level(task_id))
             try:
-                if skip_mode:
-                    mo = run_map_task_skipping(eff, split, dataset,
-                                               workdir)
-                else:
-                    mo = run_map_task(eff, split, dataset, workdir,
-                                      memory=budget)
-            except MemoryError:
-                # OOM (injected or budget overrun): retry with a
-                # deterministically halved sort buffer, bounded by the
-                # memory retry budget -- the degrade-on-retry ladder.
-                if degrade >= self._max_memory_retries():
-                    raise
-                self._memory_tally["oom_events"] += 1
-                self._memory_tally["degraded_attempts"] += 1
-                degrade += 1
-                attempt += 1
-                continue
+                value, budget = run_attempt(
+                    task_id, kind, attempt, self.workdir, eff_job, dataset,
+                    payload(), fault, skip_mode=policy.skip_mode(task_id),
+                    shuffle=eff_shuffle, fetch_faults=fetch_faults,
+                    host=host, disk_fault=disk_faults.get(host),
+                    keep_files=self.keep_files)
             except Exception as exc:
-                if (skip_mode or job.skipping is None
-                        or not is_skip_eligible(exc)):
+                decision = policy.on_failure(task_id, classify(exc, job))
+                for map_id in decision.reexec:
+                    maps.reexec(map_id)
+                if decision.repair is not None:
+                    maps.repair(decision.repair)
+                if decision.action == FAIL:
                     raise
-                skip_mode = True
                 attempt += 1
                 continue
-            if fault is not None and fault.mode == "corrupt" \
-                    and fault.where == "map-output":
-                target = (fault.segment if fault.segment in mo.segments
-                          else min(mo.segments))
-                corrupt_file(mo.segments[target][0], fault.offset_frac,
-                             fault.op)
-            self._note_budget(budget)
-            return mo
-
-    def _run_reduce(self, job: Job, part: int,
-                    map_outputs: Sequence[MapTaskOutput],
-                    dataset: Dataset,
-                    splits: Sequence[InputSplit],
-                    shuffle_state: dict[str, Any]) -> ReduceTaskResult:
-        """One reduce task through the serial failure ladder."""
-        from repro.mapreduce.runtime.fault import corrupt_file, poisoned_job
-        from repro.mapreduce.runtime.shuffle import FetchFailedError, SegmentRef
-        from repro.mapreduce.runtime.skipping import (
-            is_skip_eligible,
-            run_reduce_task_skipping,
-        )
-        task_id = f"r{part:05d}"
-        workdir = self._task_workdir(task_id)
-
-        def build_refs() -> list[SegmentRef]:
-            epochs = shuffle_state["epochs"]
-            service = shuffle_state.get("service")
-            return [SegmentRef(map_id=mo.task_id,
-                               path=mo.segments[part][0],
-                               stats=mo.segments[part][1],
-                               epoch=epochs[mo.task_id],
-                               address=(service.address_for(mo.task_id)
-                                        if service is not None else None))
-                    for mo in map_outputs]
-
-        segments = build_refs()
-        fetch_faults = (self.fault_injector.fetch_plan_for(task_id) or None
-                        if self.fault_injector is not None else None)
-        first = self._serial_fault(task_id, 0)
-        if first is not None and first.mode == "corrupt" \
-                and first.where == "reduce-input" and segments:
-            index = first.segment if first.segment is not None else 0
-            corrupt_file(segments[index % len(segments)].path,
-                         first.offset_frac, first.op)
-        attempt = 0
-        skip_mode = False
-        repairs = 0
-        degrade = 0
-        while True:
-            fault = self._serial_fault(task_id, attempt)
-            eff = (poisoned_job(job, fault, "reduce")
-                   if fault is not None and fault.mode == "poison" else job)
-            eff, eff_shuffle, budget = self._memory_setup(eff, fault, degrade)
-            try:
-                if skip_mode:
-                    return run_reduce_task_skipping(
-                        eff, part, segments, workdir,
-                        keep_files=self.keep_files,
-                        shuffle=eff_shuffle, fetch_faults=fetch_faults)
-                if shuffle_state.get("commitlog") is not None:
-                    # Pipelined body over the (complete) commit log:
-                    # corrupt-at-rest decode errors and fetch failures
-                    # surface identically and take the same ladder.
-                    from repro.mapreduce.runtime.pipeline import (
-                        PipelinePlan,
-                        run_reduce_task_pipelined,
-                    )
-                    plan = PipelinePlan(
-                        commit_dir=shuffle_state["commit_dir"],
-                        map_ids=tuple(mo.task_id for mo in map_outputs))
-                    rr = run_reduce_task_pipelined(
-                        eff, part, plan, workdir,
-                        keep_files=self.keep_files,
-                        shuffle=eff_shuffle, fetch_faults=fetch_faults,
-                        memory=budget)
-                else:
-                    rr = run_reduce_task(eff, part, segments, workdir,
-                                         keep_files=self.keep_files,
-                                         shuffle=eff_shuffle,
-                                         fetch_faults=fetch_faults,
-                                         memory=budget)
-                self._note_budget(budget)
-                return rr
-            except MemoryError:
-                # OOM: degrade-on-retry, same halving as the map side
-                # (and as the parallel scheduler's requeue).
-                if degrade >= self._max_memory_retries():
-                    raise
-                self._memory_tally["oom_events"] += 1
-                self._memory_tally["degraded_attempts"] += 1
-                degrade += 1
-                attempt += 1
-                continue
-            except Exception as exc:
-                if isinstance(exc, FetchFailedError):
-                    # Charge the producing map a strike; at the
-                    # threshold re-execute it (bumping its epoch), then
-                    # retry this reduce against rebuilt references --
-                    # the serial mirror of the scheduler's escalation.
-                    self._handle_fetch_failure(exc, job, dataset, splits,
-                                               shuffle_state)
-                    segments = build_refs()
-                    attempt += 1
-                    continue
-                skippable = (job.skipping is not None
-                             and is_skip_eligible(exc))
-                if skippable and not skip_mode:
-                    skip_mode = True
-                    attempt += 1
-                    continue
-                if (isinstance(exc, IFileCorruptError) and not skippable
-                        and exc.path is not None
-                        and repairs < len(segments)):
-                    self._repair_segment(exc.path, job, dataset, splits)
-                    repairs += 1
-                    attempt += 1
-                    continue
-                raise
-
-    def _handle_fetch_failure(self, exc: Any, job: Job, dataset: Dataset,
-                              splits: Sequence[InputSplit],
-                              shuffle_state: dict[str, Any]) -> None:
-        """Strike accounting and in-place map re-execution.
-
-        Re-raises the fetch failure once the map has been re-executed
-        ``max_map_reexecs`` times and its segments still cannot be
-        fetched -- the serial analogue of the scheduler's
-        :class:`~repro.mapreduce.runtime.scheduler.TaskFailedError`.
-        """
-        map_id = exc.map_id
-        strikes = shuffle_state["strikes"]
-        strikes[map_id] = strikes.get(map_id, 0) + 1
-        if strikes[map_id] < self.fetch_failure_threshold:
-            return  # retry the fetch before escalating
-        if shuffle_state["reexecs"][map_id] >= self.max_map_reexecs:
-            raise exc
-        strikes[map_id] = 0
-        shuffle_state["reexecs"][map_id] += 1
-        shuffle_state["epochs"][map_id] += 1
-        shuffle_state["total_reexecs"] += 1
-        split = next(
-            (s for s in splits if f"m{s.split_id:05d}" == map_id), None)
-        if split is None:
-            raise RuntimeError(f"fetch failure names unknown map {map_id}")
-        service = shuffle_state.get("service")
-        if service is not None:
-            # Graceful drain: requests for the old epoch get a clean
-            # transient rejection while the replacement is produced.
-            service.invalidate(map_id)
-        # Deterministic re-run into the map's workdir (its spare volume
-        # when a disk fault failed it over) recreates every segment at
-        # its fixed path with identical bytes (faults are not applied
-        # during re-execution, matching the parallel runtime).
-        mo = run_map_task(job, split, dataset, self._task_workdir(map_id))
-        if service is not None:
-            # Re-registration ends the drain at the new epoch and
-            # re-spawns the hosting server if it died.
-            service.register_map_output(
-                map_id, [path for path, _ in mo.segments.values()],
-                epoch=shuffle_state["epochs"][map_id])
-        log = shuffle_state.get("commitlog")
-        if log is not None:
-            # Re-publish the commit record at the bumped epoch so the
-            # pipelined retry fetches the fresh segments.
-            from repro.mapreduce.runtime.pipeline import CommitRecord
-            log.commit(CommitRecord(
-                map_id=map_id,
-                epoch=shuffle_state["epochs"][map_id],
-                segments=dict(mo.segments),
-                address=(service.address_for(map_id)
-                         if service is not None else None)))
-
-    def _repair_segment(self, corrupt_path: str, job: Job, dataset: Dataset,
-                        splits: Sequence[InputSplit]) -> None:
-        """Re-generate a corrupt final map segment in place.
-
-        Map tasks are deterministic and the serial runner keeps every
-        final segment at a fixed path in its workdir, so re-running the
-        producing map task recreates the damaged file (and its siblings)
-        with identical bytes -- the reduce retry picks them up as if
-        nothing happened.  Faults are never applied during a repair,
-        matching the parallel runtime (repairs run in the scheduler
-        process, outside the injection plan).
-        """
-        name = os.path.basename(corrupt_path)
-        task_id = name.split("-out-")[0]
-        split = next(
-            (s for s in splits if f"m{s.split_id:05d}" == task_id), None)
-        if split is None:
-            raise RuntimeError(
-                f"corrupt segment {corrupt_path} matches no map task")
-        run_map_task(job, split, dataset, self._task_workdir(task_id))
+            policy.on_won(task_id)
+            if budget is not None:
+                note_memory(tally, budget.stats())
+            return value
 
     def _remove_new_files(self, preexisting: set[str]) -> None:
         """Delete everything a failed run left behind in the workdir."""
@@ -1361,7 +867,7 @@ class LocalJobRunner:
         if self._own_workdir and not os.listdir(self.workdir):
             shutil.rmtree(self.workdir, ignore_errors=True)
 
-    def _cleanup(self, map_outputs: Sequence[MapTaskOutput]) -> None:
+    def _cleanup(self, map_outputs, disk_failover: bool) -> None:
         for mo in map_outputs:
             for path, _ in mo.segments.values():
                 if os.path.exists(path):
@@ -1372,7 +878,7 @@ class LocalJobRunner:
                 shutil.rmtree(path, ignore_errors=True)
             elif os.path.exists(path):
                 os.unlink(path)
-        if self._disk_plan:
+        if disk_failover:
             # Disk-failover artifacts are run state, not user output:
             # the (now empty) spare volume and the quarantine marker.
             from repro.mapreduce.runtime.hosts import DISK_MARKER

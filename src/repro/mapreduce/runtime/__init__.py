@@ -7,6 +7,9 @@ the same map -> shuffle -> reduce task DAG, runs the identical task
 functions in worker processes over IFile segments on shared disk, and
 layers on the robustness a real cluster runtime needs:
 
+* :mod:`~repro.mapreduce.runtime.policy` -- the recovery policy: every
+  retry / requeue / skip / repair / re-execute / fail decision, shared
+  by the serial runner and the scheduler;
 * :mod:`~repro.mapreduce.runtime.scheduler` -- bounded worker pool,
   per-task retry with exponential backoff, speculative re-execution of
   stragglers, per-attempt deadlines, heartbeat-staleness kills, and a

@@ -98,8 +98,6 @@ class HostState:
     blacklist_until: float = 0.0
     #: clean attempts observed during probation
     probation_successes: int = 0
-    #: completed maps re-executed because this host died
-    reexecs: int = 0
     #: why the host left ALIVE, for trace details
     reason: str = ""
     extra: dict = field(default_factory=dict)
@@ -177,9 +175,6 @@ class HostHealthMonitor:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if reinstate_backoff < 0 or reinstate_backoff_max < 0:
             raise ValueError("reinstate backoff values must be >= 0")
-        if max_host_reexecs < 0:
-            raise ValueError(
-                f"max_host_reexecs must be >= 0, got {max_host_reexecs}")
         self.registry = registry
         self.suspect_heartbeat_misses = suspect_heartbeat_misses
         self.dead_fetch_strikes = dead_fetch_strikes
@@ -187,14 +182,15 @@ class HostHealthMonitor:
         self.probation_clean_attempts = probation_clean_attempts
         self.reinstate_backoff = reinstate_backoff
         self.reinstate_backoff_max = reinstate_backoff_max
+        #: completed maps one lost host may cost in re-executions; the
+        #: recovery policy of a scheduler placing on this fleet enforces
+        #: (and validates) it
         self.max_host_reexecs = max_host_reexecs
         self.trace = trace
         self.clock = clock
         #: hosts declared dead but not yet drained by the scheduler
         self._newly_dead: list[str] = []
-        #: job-level accounting the runners fold into counters
         self.hosts_lost = 0
-        self.maps_reexecuted_host = 0
 
     # ------------------------------------------------------------ helpers
 
@@ -358,17 +354,6 @@ class HostHealthMonitor:
         dead = [h for h in self._newly_dead if h in only]
         self._newly_dead = [h for h in self._newly_dead if h not in only]
         return dead
-
-    def charge_host_reexec(self, host: str, maps: int) -> None:
-        """Account ``maps`` completed maps re-executed because ``host``
-        died; raises past ``max_host_reexecs`` *maps per lost host*."""
-        h = self.registry.get(host)
-        h.reexecs += maps
-        self.maps_reexecuted_host += maps
-        if h.reexecs > self.max_host_reexecs:
-            raise HostLostError(
-                f"{host} lost {h.reexecs} completed maps, exceeding "
-                f"max_host_reexecs={self.max_host_reexecs}")
 
 
 class HostLostError(RuntimeError):

@@ -72,6 +72,10 @@ import time
 import zlib
 from typing import Callable, Mapping, Sequence
 
+# Register the stride wire codecs now, at import.  Left to the first
+# get_codec() miss, that import can run in a segment-server thread while
+# the runner forks a worker, and the child inherits the held import lock.
+import repro.core.stride.codec  # noqa: F401
 from repro.mapreduce.codecs import get_codec
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime.fault import Fault

@@ -1,14 +1,19 @@
-"""Bounded multiprocess task scheduler: retries, backoff, speculation,
-attempt deadlines, heartbeat monitoring, and checkpoint adoption.
+"""Bounded multiprocess task scheduler: the process executor of the
+recovery policy, plus speculation, attempt deadlines, heartbeat
+monitoring, and checkpoint adoption.
 
 The scheduler executes one *wave* of independent tasks (all maps, then
 all reduces -- the shuffle barrier between them is the job DAG) on a
-bounded pool of worker processes.  It owns the whole robustness story:
+bounded pool of worker processes.  What to do about a failed attempt
+is the :class:`~repro.mapreduce.runtime.policy.RecoveryPolicy`'s
+decision (the serial runner executes the same policy inline); the
+scheduler carries the decisions out across processes and owns
+everything only a process executor has:
 
 * **Retry with backoff** -- an attempt that dies (no result file) or
-  returns an error is re-queued with exponential backoff, up to
-  ``max_retries`` extra attempts; the job fails only when a task
-  exhausts its budget with no rival attempt still in flight.
+  returns an error is re-queued after a capped exponential backoff,
+  as the policy decides; the job fails only when a task exhausts its
+  budget with no rival attempt still in flight.
 * **Speculative execution** -- once enough tasks have finished to
   estimate a typical duration, a running attempt that exceeds
   ``straggler_factor`` x the median is duplicated.  First finisher
@@ -25,16 +30,14 @@ bounded pool of worker processes.  It owns the whole robustness story:
   breach the wave fails with a :class:`WaveDeadlineError` carrying a
   per-task diagnosis from the :class:`~repro.mapreduce.runtime.trace.
   RuntimeTrace` (which tasks were stuck, and what they were last doing).
-* **Corrupt-segment repair** -- a reduce attempt failing a segment
-  checksum reports the offending path; the caller-supplied ``repair``
-  hook re-generates that map output in place and the reduce retries
-  (Hadoop's fetch-failure -> re-execute-the-mapper protocol).
-* **Record skipping** -- when a job carries a
-  :class:`~repro.mapreduce.job.SkipPolicy` and an attempt fails with a
-  skip-eligible error (user-code or record-local corruption), every
-  later attempt of that task runs in record-level skipping mode (see
-  :mod:`~repro.mapreduce.runtime.skipping`): poison records are
-  bisected out into quarantine and the task completes over the rest.
+* **Map-side recovery** -- repairs of corrupt segments and map
+  re-executions (fetch-failure threshold, lost host) run through the
+  wave's :class:`~repro.mapreduce.runtime.jobstate.MapOutputs`; queued
+  reduces are re-pointed at the fresh segments and running ones that
+  read the old epoch are killed and requeued.
+* **Record skipping** -- attempts of a task the policy put in skip
+  mode run in record-level skipping mode (see
+  :mod:`~repro.mapreduce.runtime.skipping`).
 * **Checkpoint adoption** -- ``run_wave(..., precomputed=...)`` seeds
   the wave with results recovered from a job manifest (see
   :mod:`~repro.mapreduce.runtime.recovery`); adopted tasks are recorded
@@ -55,13 +58,29 @@ import statistics
 import threading
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime.fault import Fault, FaultInjector
-from repro.mapreduce.runtime.hosts import HostHealthMonitor
+from repro.mapreduce.runtime.hosts import HostHealthMonitor, HostLostError
+from repro.mapreduce.runtime.jobstate import (
+    MapOutputs,
+    new_memory_tally,
+    note_memory,
+)
 from repro.mapreduce.runtime.pipeline import STARVED_NAME
+from repro.mapreduce.runtime.policy import (
+    FAIL,
+    FETCH,
+    OOM,
+    OTHER,
+    REQUEUE,
+    RETRY,
+    Failure,
+    RecoveryPolicy,
+    degraded,
+)
 from repro.mapreduce.runtime.pool import PoolSaturatedError, WorkerPool
 from repro.mapreduce.runtime.trace import RuntimeTrace
 from repro.mapreduce.runtime.worker import (
@@ -172,7 +191,8 @@ class TaskScheduler:
     max_workers:
         Concurrent worker processes (default: CPU count).
     max_retries:
-        Extra attempts a task may use after its first failure.
+        Extra attempts a task may use after its first charged failure
+        (see :class:`~repro.mapreduce.runtime.policy.RecoveryPolicy`).
     retry_backoff / retry_backoff_max:
         Base delay before a retry launches; doubles per failure, capped
         at ``retry_backoff_max``, with deterministic per-task jitter
@@ -180,11 +200,10 @@ class TaskScheduler:
     fetch_failure_threshold / max_map_reexecs:
         A reduce attempt that cannot fetch a map's segments charges that
         map one *strike* (without spending the reduce's retry budget).
-        At ``fetch_failure_threshold`` strikes the scheduler invokes the
-        caller's ``reexec`` hook to re-execute the completed map and
-        re-points waiting reducers at the fresh segments; one map may be
-        re-executed at most ``max_map_reexecs`` times before the wave
-        fails (a permanently unfetchable segment must not loop forever).
+        At ``fetch_failure_threshold`` strikes the completed map is
+        re-executed and waiting reducers are re-pointed at the fresh
+        segments; one map may be re-executed at most ``max_map_reexecs``
+        times before the wave fails.
     shuffle:
         Optional :class:`~repro.mapreduce.runtime.shuffle.ShuffleConfig`
         forwarded to reduce workers (transport choice + fetch knobs).
@@ -233,8 +252,9 @@ class TaskScheduler:
         outcomes / heartbeat breaches / fetch strikes feed the host
         state machine, and a host declared dead mid-wave has its
         attempts killed-and-requeued and its completed maps bulk
-        re-executed through the ``reexec`` hook.  Planned ``disk_fault``
-        injections against a task's home host ride into its workers.
+        re-executed (bounded by the monitor's ``max_host_reexecs``).
+        Planned ``disk_fault`` injections against a task's home host
+        ride into its workers.
     trace:
         The :class:`RuntimeTrace` events are recorded into.
     """
@@ -270,20 +290,11 @@ class TaskScheduler:
         if max_workers is None and pool is not None:
             max_workers = pool.max_workers
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if retry_backoff < 0:
             raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
         if retry_backoff_max < 0:
             raise ValueError(
                 f"retry_backoff_max must be >= 0, got {retry_backoff_max}")
-        if fetch_failure_threshold < 1:
-            raise ValueError(
-                f"fetch_failure_threshold must be >= 1, "
-                f"got {fetch_failure_threshold}")
-        if max_map_reexecs < 0:
-            raise ValueError(
-                f"max_map_reexecs must be >= 0, got {max_map_reexecs}")
         if straggler_factor <= 1.0:
             raise ValueError(
                 f"straggler_factor must be > 1, got {straggler_factor}")
@@ -301,11 +312,8 @@ class TaskScheduler:
                     f"heartbeat_interval ({heartbeat_interval})")
         if wave_deadline is not None and wave_deadline <= 0:
             raise ValueError(f"wave_deadline must be > 0, got {wave_deadline}")
-        self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.retry_backoff_max = retry_backoff_max
-        self.fetch_failure_threshold = fetch_failure_threshold
-        self.max_map_reexecs = max_map_reexecs
         self.shuffle = shuffle
         self.speculation = speculation
         self.straggler_factor = straggler_factor
@@ -319,11 +327,17 @@ class TaskScheduler:
         self.fault_injector = fault_injector
         self.hosts = hosts
         self.worker_rlimit_bytes = worker_rlimit_bytes
-        #: ledger telemetry aggregated across waves -- consumed by the
-        #: runner for ``JobResult.memory_stats`` and the MEMORY_* counters
-        self.memory_tally: dict[str, Any] = {
-            "oom_events": 0, "degraded_attempts": 0, "peak_bytes": 0,
-            "backpressure_waits": 0, "used_budget": False}
+        #: every recovery decision of this scheduler's job, across waves
+        self.policy = RecoveryPolicy(
+            max_retries=max_retries,
+            fetch_failure_threshold=fetch_failure_threshold,
+            max_map_reexecs=max_map_reexecs,
+            max_memory_retries=getattr(shuffle, "max_memory_retries", 2),
+            max_host_reexecs=(hosts.max_host_reexecs if hosts is not None
+                              else 2))
+        #: winning attempts' ledger telemetry across waves, for
+        #: ``JobResult.memory_stats``
+        self.memory_tally = new_memory_tally()
         #: planned disk faults by home host, applied inside workers
         self._disk_faults: dict[str, Fault] = {}
         if fault_injector is not None:
@@ -349,20 +363,26 @@ class TaskScheduler:
         job: Any,
         dataset: Any,
         wave_dir: str,
-        repair: Callable[[str], None] | None = None,
+        maps: MapOutputs | None = None,
         precomputed: Mapping[str, Any] | None = None,
         on_complete: Callable[[TaskSpec, int, str, str, Any], None] | None = None,
         keep_result_files: bool = False,
-        reexec: Callable[[str], Mapping[str, Any]] | None = None,
         pipeline: bool = False,
     ) -> dict[str, Any]:
         """Run every task in ``specs`` to completion; returns results by id.
 
-        Raises :class:`TaskFailedError` when any task exhausts its retry
-        budget, or :class:`WaveDeadlineError` on ``wave_deadline``
-        breach.  ``repair`` is invoked with the corrupt segment path
-        when an attempt fails integrity verification, before that
-        task's retry is queued.
+        Raises :class:`TaskFailedError` when the recovery policy gives a
+        task up, :class:`~repro.mapreduce.runtime.hosts.HostLostError`
+        when a lost host exceeds its re-execution budget, or
+        :class:`WaveDeadlineError` on ``wave_deadline`` breach.
+
+        ``maps`` holds the job's completed map outputs (reduce and
+        combined waves): the policy's segment repairs and map
+        re-executions run through it.  After a re-execution, queued
+        reduces are re-pointed at the fresh segments and running
+        attempts that were reading the old ones are killed and requeued
+        -- unless the wave reads a commit log, which re-points readers
+        itself.
 
         ``precomputed`` maps task ids to already-recovered results
         (checkpoint adoption): those tasks are marked ``adopted`` in the
@@ -371,15 +391,6 @@ class TaskScheduler:
         task -- the manifest-recording hook.  With ``keep_result_files``
         the winning attempt's pickled result survives on disk so a
         later resume can reload it.
-
-        ``reexec`` is the map re-execution hook for reduce waves: called
-        with a map task id whose segments have accumulated
-        ``fetch_failure_threshold`` fetch-failure strikes, it must
-        re-run that completed map and return ``{reduce_id: new_payload}``
-        for every reduce task in this wave.  The scheduler re-points
-        queued reduces at the new payloads, kills and requeues running
-        attempts that were reading the invalidated segments, and resets
-        the map's strike count.
 
         ``pipeline`` marks a *combined* wave (maps and reduces admitted
         together; reduce payloads carry a :class:`~repro.mapreduce.
@@ -399,6 +410,7 @@ class TaskScheduler:
         os.makedirs(wave_dir, exist_ok=True)
 
         trace = self.trace
+        policy = self.policy
         results: dict[str, Any] = {}
         if precomputed:
             unknown = sorted(set(precomputed) - set(by_id))
@@ -413,23 +425,6 @@ class TaskScheduler:
         pending: list[tuple[TaskSpec, float]] = [
             (s, 0.0) for s in specs if s.task_id not in results]
         running: list[_Attempt] = []
-        failures: dict[str, int] = defaultdict(int)
-        #: fetch-failure strikes per *map* task (reduce waves only);
-        #: cleared when the map is re-executed
-        fetch_strikes: dict[str, int] = defaultdict(int)
-        #: how many times each map has been re-executed this wave
-        map_reexecs: dict[str, int] = defaultdict(int)
-        #: fetch-failure requeues per reduce -- paces the retry backoff
-        #: without charging the reduce's ``max_retries`` budget
-        fetch_requeues: dict[str, int] = defaultdict(int)
-        #: OOM deaths per task: the degrade level.  Each death halves
-        #: the task's sort buffer and fetch window on the next launch
-        #: (the serial runner's ``_memory_setup`` formula), uncharged
-        #: against ``max_retries`` but bounded by ``max_memory_retries``.
-        oom_requeues: dict[str, int] = defaultdict(int)
-        #: tasks whose next attempts run in record-skipping mode; sticky
-        #: for the rest of the wave once a skip-eligible failure is seen
-        skip_tasks: set[str] = set()
         next_attempt: dict[str, int] = defaultdict(int)
         #: completed-attempt durations by task kind: a combined
         #: (pipelined) wave must not let long wait-bound reduce attempts
@@ -455,7 +450,7 @@ class TaskScheduler:
                 self.fault_injector.fetch_plan_for(spec.task_id)
                 if self.fault_injector is not None and spec.kind == "reduce"
                 else None) or None
-            skip_mode = spec.task_id in skip_tasks
+            skip_mode = policy.skip_mode(spec.task_id)
             host = disk_fault = None
             if self.hosts is not None:
                 host = self.hosts.place(spec.task_id)
@@ -465,20 +460,8 @@ class TaskScheduler:
                     # the stable hash decide who fails over).
                     disk_fault = self._disk_faults.get(
                         self.hosts.host_for(spec.task_id))
-            # Degrade-on-retry: after ``degrade`` OOM deaths this task
-            # launches with a deterministically halved sort buffer and
-            # fetch byte window -- the serial runner's exact formula, so
-            # injected OOM runs stay counter-identical across runners.
-            degrade = oom_requeues[spec.task_id]
-            eff_job, eff_shuffle = job, self.shuffle
-            if degrade:
-                eff_job = dc_replace(job, sort_buffer_bytes=max(
-                    1024, job.sort_buffer_bytes >> degrade))
-                mib = (getattr(eff_shuffle, "max_inflight_bytes", None)
-                       if eff_shuffle is not None else None)
-                if mib is not None:
-                    eff_shuffle = dc_replace(
-                        eff_shuffle, max_inflight_bytes=max(1, mib >> degrade))
+            eff_job, eff_shuffle = degraded(
+                job, self.shuffle, policy.degrade_level(spec.task_id))
             try:
                 process = self._lease.spawn(
                     worker_entry,
@@ -516,6 +499,11 @@ class TaskScheduler:
             running.remove(attempt)
             self._lease.release()
 
+        def in_flight(task_id: str) -> bool:
+            """Whether a running or queued attempt already covers it."""
+            return (any(a.spec.task_id == task_id for a in running)
+                    or any(s.task_id == task_id for s, _ in pending))
+
         def kill_rivals(task_id: str, winner: _Attempt) -> None:
             for rival in [a for a in running
                           if a.spec.task_id == task_id and a is not winner]:
@@ -527,51 +515,22 @@ class TaskScheduler:
                              "discarded")
                 shutil.rmtree(rival.dir, ignore_errors=True)
 
-        def record_failure(attempt: _Attempt, detail: str,
-                           corrupt_path: str | None = None,
-                           skip_eligible: bool = False) -> None:
-            """Common failure path: cleanup, repair, requeue or raise."""
-            spec = attempt.spec
-            task_id = spec.task_id
-            trace.record(task_id, attempt.number, spec.kind, "failed", detail)
-            shutil.rmtree(attempt.dir, ignore_errors=True)
-            if self.hosts is not None and attempt.host is not None:
-                self.hosts.record_task_failure(attempt.host, detail)
-            if corrupt_path is not None and repair is not None:
-                repair(corrupt_path)
-            if skip_eligible and getattr(job, "skipping", None) is not None:
-                skip_tasks.add(task_id)
-            failures[task_id] += 1
-            rival_running = any(a.spec.task_id == task_id for a in running)
-            if failures[task_id] > self.max_retries:
-                if rival_running:
-                    return  # a speculative rival may still win
-                raise TaskFailedError(task_id, failures[task_id] + 1, detail)
-            if rival_running:
-                return  # the rival attempt *is* the retry
-            delay = backoff_delay(self.retry_backoff, failures[task_id],
-                                  self.retry_backoff_max, key=task_id)
-            pending.append((by_id[task_id], time.monotonic() + delay))
-            trace.record(task_id, attempt.number, spec.kind, "retried",
-                         f"backoff {delay:.3f}s")
-
-        def reexec_map(map_id: str, detail: str) -> None:
-            """Re-execute a completed map and re-point its consumers."""
-            map_reexecs[map_id] += 1
-            if map_reexecs[map_id] > self.max_map_reexecs:
-                raise TaskFailedError(
-                    map_id, map_reexecs[map_id],
-                    f"map re-executed {self.max_map_reexecs} time(s) and "
-                    f"its segments remain unfetchable: {detail}")
-            fetch_strikes[map_id] = 0
-            new_payloads = reexec(map_id)
-            trace.record(map_id, map_reexecs[map_id], "map", "map_reexec",
+        def execute_reexec(map_id: str, detail: str) -> None:
+            """Carry out the policy's re-execution of a completed map."""
+            maps.reexec(map_id)
+            trace.record(map_id, policy.map_reexecs(map_id), "map",
+                         "map_reexec",
                          f"fetch-failure threshold "
-                         f"({self.fetch_failure_threshold}) reached: {detail}")
-            for reduce_id, payload in new_payloads.items():
-                if reduce_id not in by_id or reduce_id in results:
+                         f"({policy.fetch_failure_threshold}) reached: "
+                         f"{detail}")
+            if maps.commitlog is not None:
+                return  # pipelined readers follow the commit log
+            for reduce_id, spec in list(by_id.items()):
+                if spec.kind != "reduce" or reduce_id in results:
                     continue
-                new_spec = TaskSpec(reduce_id, "reduce", payload)
+                part = spec.payload[0]
+                new_spec = TaskSpec(reduce_id, "reduce",
+                                    (part, maps.refs(part)))
                 by_id[reduce_id] = new_spec
                 for i, (queued_spec, not_before) in enumerate(pending):
                     if queued_spec.task_id == reduce_id:
@@ -590,89 +549,49 @@ class TaskScheduler:
                                      for s, _ in pending):
                     pending.append((new_spec, 0.0))
 
-        def handle_fetch_failure(attempt: _Attempt, map_id: str,
-                                 detail: str) -> None:
-            """A reduce exhausted its fetch retries against one map.
-
-            The failure is charged to the *link* (a strike against the
-            producing map), not to the reduce's retry budget: the reduce
-            did nothing wrong and must survive as many requeues as map
-            re-execution needs.  Termination is still guaranteed --
-            strikes accumulate to ``fetch_failure_threshold``, and
-            ``max_map_reexecs`` bounds how often one map may be re-run
-            before the wave fails.
-            """
+        def fail_attempt(attempt: _Attempt, failure: Failure) -> None:
+            """Report a failed attempt to the policy; carry out its
+            decision: repair or re-execute, then requeue or raise."""
             spec = attempt.spec
             task_id = spec.task_id
-            trace.record(task_id, attempt.number, spec.kind, "failed", detail)
-            trace.record(task_id, attempt.number, spec.kind, "fetch_failure",
-                         f"{map_id}: {detail}")
+            trace.record(task_id, attempt.number, spec.kind, "failed",
+                         failure.detail)
             shutil.rmtree(attempt.dir, ignore_errors=True)
-            if self.hosts is not None:
-                # The strike lands on the host *serving* the unfetchable
-                # segments -- evidence toward DEAD only if that host has
-                # also gone silent (partition-vs-death rule).
-                self.hosts.record_fetch_strike(self.hosts.host_for(map_id))
-            fetch_strikes[map_id] += 1
-            if fetch_strikes[map_id] >= self.fetch_failure_threshold:
-                if reexec is None:
-                    raise TaskFailedError(
-                        task_id, fetch_requeues[task_id] + 1,
-                        f"{detail} (no re-execution hook installed)")
-                reexec_map(map_id, detail)
-            if any(a.spec.task_id == task_id for a in running) \
-                    or any(s.task_id == task_id for s, _ in pending):
-                return  # a rival or a reexec requeue already covers it
-            fetch_requeues[task_id] += 1
-            delay = backoff_delay(self.retry_backoff, fetch_requeues[task_id],
-                                  self.retry_backoff_max,
-                                  key=f"{task_id}:fetch")
-            pending.append((by_id[task_id], time.monotonic() + delay))
-            trace.record(task_id, attempt.number, spec.kind, "retried",
-                         f"fetch failure, backoff {delay:.3f}s "
-                         f"(retry budget uncharged)")
-
-        def handle_oom(attempt: _Attempt, detail: str) -> None:
-            """An attempt died out of memory (injected, budget overrun,
-            simulated OOM kill, or a real rlimit ``MemoryError``).
-
-            Requeued *uncharged* against ``max_retries`` -- the memory
-            ladder has its own bound (``max_memory_retries``) -- with
-            the degrade level bumped so the next launch runs on halved
-            memory knobs.  Hosts are not charged either: the task's
-            footprint, not the host's disks, is at fault.
-            """
-            spec = attempt.spec
-            task_id = spec.task_id
-            trace.record(task_id, attempt.number, spec.kind, "failed", detail)
-            shutil.rmtree(attempt.dir, ignore_errors=True)
-            limit = (getattr(self.shuffle, "max_memory_retries", 2)
-                     if self.shuffle is not None else 2)
-            oom_requeues[task_id] += 1
-            if oom_requeues[task_id] > limit:
-                if any(a.spec.task_id == task_id for a in running):
-                    return  # a speculative rival may still win
-                raise TaskFailedError(
-                    task_id, oom_requeues[task_id],
-                    f"{detail} (exhausted {limit} memory retries)")
-            # Tallied only for deaths that earn a degraded retry -- the
-            # exhausting death raises untallied, exactly like the serial
-            # ladder, so the counters match whenever a job completes.
-            self.memory_tally["oom_events"] += 1
-            self.memory_tally["degraded_attempts"] += 1
-            trace.record(task_id, attempt.number, spec.kind, "oom_degraded",
-                         f"degrade level {oom_requeues[task_id]}: sort "
-                         f"buffer and fetch window halved")
-            if any(a.spec.task_id == task_id for a in running) \
-                    or any(s.task_id == task_id for s, _ in pending):
-                return  # a rival attempt or queued retry already covers it
-            delay = backoff_delay(self.retry_backoff, oom_requeues[task_id],
-                                  self.retry_backoff_max,
-                                  key=f"{task_id}:oom")
-            pending.append((by_id[task_id], time.monotonic() + delay))
-            trace.record(task_id, attempt.number, spec.kind, "retried",
-                         f"oom, backoff {delay:.3f}s "
-                         f"(retry budget uncharged)")
+            if failure.kind == FETCH:
+                trace.record(task_id, attempt.number, spec.kind,
+                             "fetch_failure",
+                             f"{failure.map_id}: {failure.detail}")
+                if self.hosts is not None:
+                    # The strike lands on the host *serving* the
+                    # unfetchable segments -- evidence toward DEAD only
+                    # if that host has also gone silent.
+                    self.hosts.record_fetch_strike(
+                        self.hosts.host_for(failure.map_id))
+            elif (failure.kind != OOM and self.hosts is not None
+                  and attempt.host is not None):
+                # An OOM is the task's footprint, not the host's fault.
+                self.hosts.record_task_failure(attempt.host, failure.detail)
+            decision = policy.on_failure(task_id, failure,
+                                         covered=in_flight(task_id))
+            for map_id in decision.reexec:
+                execute_reexec(map_id, failure.detail)
+            if decision.repair is not None:
+                maps.repair(decision.repair)
+            if decision.action == FAIL:
+                raise TaskFailedError(decision.task_id, decision.attempts,
+                                      decision.detail)
+            if decision.degrade:
+                trace.record(task_id, attempt.number, spec.kind,
+                             "oom_degraded",
+                             f"degrade level {decision.degrade}: sort "
+                             f"buffer and fetch window halved")
+            if decision.action in (RETRY, REQUEUE):
+                delay = backoff_delay(self.retry_backoff, decision.backoff,
+                                      self.retry_backoff_max,
+                                      key=decision.key)
+                pending.append((by_id[task_id], time.monotonic() + delay))
+                trace.record(task_id, attempt.number, spec.kind, "retried",
+                             decision.retry_note(delay))
 
         def handle_exit(attempt: _Attempt) -> None:
             spec = attempt.spec
@@ -684,61 +603,45 @@ class TaskScheduler:
                 shutil.rmtree(attempt.dir, ignore_errors=True)
                 return
             result = load_result(attempt.result_path)
-            if result is not None and result["status"] == "ok":
-                results[task_id] = result["value"]
-                durations[spec.kind].append(time.monotonic() - attempt.started)
-                trace.record(task_id, attempt.number, spec.kind, "finished")
-                if self.hosts is not None and attempt.host is not None:
-                    # A completed attempt is both liveness evidence and a
-                    # clean attempt toward probation reinstatement.
-                    self.hosts.record_heartbeat(attempt.host)
-                    self.hosts.record_task_success(attempt.host)
-                counters = getattr(result["value"], "counters", None)
-                skipped = (counters.get(C.RECORDS_SKIPPED)
-                           if counters is not None else 0)
-                if skipped:
-                    trace.record(
-                        task_id, attempt.number, spec.kind, "quarantined",
-                        f"{skipped} record(s) skipped into quarantine")
-                mem = result.get("memory")
-                if mem:
-                    tally = self.memory_tally
-                    tally["used_budget"] = True
-                    tally["peak_bytes"] = max(tally["peak_bytes"],
-                                              mem.get("peak", 0))
-                    tally["backpressure_waits"] += mem.get(
-                        "backpressure_waits", 0)
-                    trace.record(
-                        task_id, attempt.number, spec.kind, "memory_peak",
-                        f"{mem.get('peak', 0)}/{mem.get('capacity')}")
-                if on_complete is not None:
-                    on_complete(spec, attempt.number, attempt.dir,
-                                attempt.result_path, result["value"])
-                if not keep_result_files:
-                    try:
-                        os.unlink(attempt.result_path)
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-                kill_rivals(task_id, attempt)
-                return
-            # Failure: worker died without a result, or reported an error.
             if result is None:
-                detail = (f"worker exited with code "
-                          f"{attempt.process.exitcode} and no result")
-                corrupt_path = None
-                skip_eligible = False
-            else:
-                detail = f"{result['error_type']}: {result['message']}"
-                corrupt_path = result.get("corrupt_path")
-                skip_eligible = result.get("skip_eligible", False)
-                failed_map = result.get("failed_map")
-                if failed_map is not None:
-                    handle_fetch_failure(attempt, failed_map, detail)
-                    return
-                if result.get("oom"):
-                    handle_oom(attempt, detail)
-                    return
-            record_failure(attempt, detail, corrupt_path, skip_eligible)
+                fail_attempt(attempt, Failure(
+                    OTHER, f"worker exited with code "
+                           f"{attempt.process.exitcode} and no result"))
+                return
+            if result["status"] != "ok":
+                fail_attempt(attempt, result["failure"])
+                return
+            results[task_id] = result["value"]
+            policy.on_won(task_id)
+            durations[spec.kind].append(time.monotonic() - attempt.started)
+            trace.record(task_id, attempt.number, spec.kind, "finished")
+            if self.hosts is not None and attempt.host is not None:
+                # A completed attempt is both liveness evidence and a
+                # clean attempt toward probation reinstatement.
+                self.hosts.record_heartbeat(attempt.host)
+                self.hosts.record_task_success(attempt.host)
+            counters = getattr(result["value"], "counters", None)
+            skipped = (counters.get(C.RECORDS_SKIPPED)
+                       if counters is not None else 0)
+            if skipped:
+                trace.record(
+                    task_id, attempt.number, spec.kind, "quarantined",
+                    f"{skipped} record(s) skipped into quarantine")
+            mem = result.get("memory")
+            if mem:
+                note_memory(self.memory_tally, mem)
+                trace.record(
+                    task_id, attempt.number, spec.kind, "memory_peak",
+                    f"{mem.get('peak', 0)}/{mem.get('capacity')}")
+            if on_complete is not None:
+                on_complete(spec, attempt.number, attempt.dir,
+                            attempt.result_path, result["value"])
+            if not keep_result_files:
+                try:
+                    os.unlink(attempt.result_path)
+                except OSError:  # pragma: no cover - already gone
+                    pass
+            kill_rivals(task_id, attempt)
 
         def deadline_breach(attempt: _Attempt, now: float) -> str | None:
             """Why this attempt must die now, or ``None`` to let it run."""
@@ -775,7 +678,7 @@ class TaskScheduler:
                 retire(attempt)
                 trace.record(attempt.spec.task_id, attempt.number,
                              attempt.spec.kind, "timeout", reason)
-                record_failure(attempt, reason)
+                fail_attempt(attempt, Failure(OTHER, reason))
             if (self.wave_deadline is not None
                     and now - wave_started > self.wave_deadline):
                 unfinished = [t for t in by_id if t not in results]
@@ -786,11 +689,10 @@ class TaskScheduler:
             """Absorb hosts the monitor declared dead since last poll.
 
             Every in-flight attempt placed on a dead host is killed and
-            requeued *uncharged* (the task did nothing wrong), and --
-            in a reduce wave -- every completed map whose only segment
-            copies lived on the host is bulk re-executed through the
-            ``reexec`` hook, bounded by the monitor's
-            ``max_host_reexecs`` budget.
+            requeued *uncharged* (the task did nothing wrong), and every
+            completed map whose only segment copies lived on the host is
+            re-executed as the policy decides (bounded by
+            ``max_host_reexecs``, and per map by ``max_map_reexecs``).
             """
             if self.hosts is None:
                 return
@@ -802,40 +704,21 @@ class TaskScheduler:
                                  "killed", f"{host} declared dead")
                     shutil.rmtree(a.dir, ignore_errors=True)
                     task_id = a.spec.task_id
-                    if (task_id not in results
-                            and not any(x.spec.task_id == task_id
-                                        for x in running)
-                            and not any(s.task_id == task_id
-                                        for s, _ in pending)):
+                    if task_id not in results and not in_flight(task_id):
                         pending.append((by_id[task_id], 0.0))
                         trace.record(task_id, a.number, a.spec.kind,
                                      "retried", f"{host} died under it "
                                      f"(retry budget uncharged)")
-                if reexec is None:
-                    continue
-                # Completed maps served from the dead host: their only
-                # segment copies are gone, so re-execute them before the
-                # reducers starve against vanished files.
-                try:
-                    lost = sorted({
-                        ref.map_id
-                        for s in by_id.values() if s.kind == "reduce"
-                        for ref in s.payload[1]
-                        if self.hosts.host_for(ref.map_id) == host})
-                except (AttributeError, IndexError, TypeError):
-                    lost = []  # payloads are not segment-ref shaped
-                if not lost:
-                    # Pipelined (combined) waves carry no refs in the
-                    # reduce payloads; the completed maps homed on the
-                    # dead host are exactly this wave's map results.
-                    lost = sorted(
-                        t for t, s in by_id.items()
-                        if s.kind == "map" and t in results
-                        and self.hosts.host_for(t) == host)
-                if lost:
-                    self.hosts.charge_host_reexec(host, len(lost))
-                    for map_id in lost:
-                        reexec_map(map_id,
+                lost = (maps.homed_on(host, self.hosts.registry.num_hosts)
+                        if maps is not None else [])
+                decision = policy.on_host_dead(host, lost, charge_maps=True)
+                if decision.action == FAIL:
+                    if decision.task_id == host:
+                        raise HostLostError(decision.detail)
+                    raise TaskFailedError(decision.task_id,
+                                          decision.attempts, decision.detail)
+                for map_id in decision.reexec:
+                    execute_reexec(map_id,
                                    f"{host} died holding its segments")
 
         def maybe_speculate(now: float) -> None:

@@ -10,7 +10,7 @@ over, not spot-checked):
 * blacklisting benches a host, probation reinstates it after the
   configured number of clean attempts, and a failure during probation
   re-benches it with a grown (capped) backoff;
-* ``charge_host_reexec`` bounds cascade re-execution at
+* the recovery policy bounds cascade re-execution at
   ``max_host_reexecs`` completed maps per lost host;
 * placement prefers the stable-hash home host and rebalances around
   unusable hosts in ring order;
@@ -31,12 +31,12 @@ from repro.mapreduce.runtime.fault import Fault, FaultInjector
 from repro.mapreduce.runtime.hosts import (
     DISK_MARKER,
     HostHealthMonitor,
-    HostLostError,
     HostRegistry,
     expand_host_partition,
     host_for,
     provision_failover_workdir,
 )
+from repro.mapreduce.runtime.policy import FAIL, REEXEC, RecoveryPolicy
 
 
 class FakeClock:
@@ -173,21 +173,28 @@ class TestBlacklistProbation:
 
 
 class TestReexecBudget:
+    """The per-host re-execution budget lives in the recovery policy."""
+
     @pytest.mark.parametrize("budget", [0, 1, 3])
     def test_budget_bounds_cascade(self, budget):
-        monitor, _ = make_monitor(max_host_reexecs=budget)
-        monitor.declare_dead("host0", "test")
-        if budget:
-            monitor.charge_host_reexec("host0", budget)  # at the line: ok
-        with pytest.raises(HostLostError, match="max_host_reexecs"):
-            monitor.charge_host_reexec("host0", 1)
-        assert monitor.maps_reexecuted_host == budget + 1
+        policy = RecoveryPolicy(max_host_reexecs=budget)
+        lost = [f"m{i:05d}" for i in range(budget + 1)]
+        decision = policy.on_host_dead("host0", lost)
+        assert decision.action == FAIL
+        assert "max_host_reexecs" in decision.detail
+        assert policy.host_reexecs == budget + 1
+        at_line = RecoveryPolicy(max_host_reexecs=budget)
+        decision = at_line.on_host_dead("host0", lost[:budget])
+        assert decision.action == REEXEC
+        assert decision.reexec == tuple(lost[:budget])
 
     def test_budget_is_per_host(self):
-        monitor, _ = make_monitor(max_host_reexecs=2)
-        monitor.charge_host_reexec("host0", 2)
-        monitor.charge_host_reexec("host1", 2)  # fresh budget per host
-        assert monitor.maps_reexecuted_host == 4
+        policy = RecoveryPolicy(max_host_reexecs=2)
+        assert policy.on_host_dead("host0", ["m0", "m1"]).action == REEXEC
+        # a fresh budget per host
+        assert policy.on_host_dead("host1", ["m2", "m3"]).action == REEXEC
+        assert policy.host_reexecs == 4
+        assert policy.hosts_lost == 2
 
 
 class TestPlacement:

@@ -26,6 +26,8 @@ socket.  Pinned here:
 import errno
 import os
 import socket
+import subprocess
+import sys
 import time
 import zlib
 
@@ -73,6 +75,23 @@ def net_config(**overrides):
 @pytest.fixture
 def segment(tmp_path):
     return write_segment(tmp_path)
+
+
+class TestImportOrder:
+    def test_stride_codecs_registered_at_runtime_import(self):
+        """The stride wire codecs are imported with the runtime package,
+        never lazily from a segment-server thread: a lazy import there
+        can hold the import lock while the runner forks a worker, and
+        the child then hangs on its first codec lookup."""
+        code = ("import sys, repro.mapreduce.runtime; "
+                "print('repro.core.stride.codec' in sys.modules)")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True"
 
 
 class TestWireRoundTrip:

@@ -101,6 +101,22 @@ class TestCorruptSegment:
         repaired = [e for e in result.trace.events if e.event == "repaired"]
         assert repaired[0].task_id == "m00002"
 
+    def test_repair_is_uncharged_on_both_runners(
+            self, grid, serial, tmp_path):
+        """A segment repair spends no retry budget: with
+        ``max_retries=0`` both runners still repair and finish
+        byte-identical to the clean serial run."""
+        job = make_job(num_map_tasks=4, num_reducers=2)
+        inline = LocalJobRunner(
+            fault_injector=FaultInjector().corrupt("m00002")).run(job, grid)
+        parallel = run_parallel(grid, FaultInjector().corrupt("m00002"),
+                                tmp_path, max_retries=0)
+        for result in (inline, parallel):
+            assert result.output == serial.output
+            assert result.counters == serial.counters
+        assert parallel.trace.count("repaired") == 1
+        assert parallel.trace.count("retried") == 1
+
 
 class TestSpeculation:
     def test_straggler_triggers_speculative_execution(

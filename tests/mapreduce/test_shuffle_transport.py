@@ -39,6 +39,8 @@ from repro.mapreduce.runtime import (
     TaskFailedError,
     is_skip_eligible,
 )
+from repro.mapreduce.runtime.jobstate import MapOutputs, new_memory_tally
+from repro.mapreduce.runtime.policy import RecoveryPolicy
 from repro.mapreduce.runtime.shuffle import (
     ChannelTransport,
     ConfigError,
@@ -503,17 +505,17 @@ class TestEndToEnd:
             shuffle=ShuffleConfig(fetch_retries=1, backoff=0.0),
             fetch_failure_threshold=1)
         splits = ArraySplitter(2).split(grid)
-        map_outputs = [run_map_task(job, s, grid, workdir) for s in splits]
-        os.unlink(map_outputs[1].segments[0][0])
-        shuffle_state = {
-            "strikes": {mo.task_id: 0 for mo in map_outputs},
-            "epochs": {mo.task_id: 0 for mo in map_outputs},
-            "reexecs": {mo.task_id: 0 for mo in map_outputs},
-            "total_reexecs": 0,
-        }
-        rr = runner._run_reduce(job, 0, map_outputs, grid, splits,
-                                shuffle_state)
-        assert shuffle_state["total_reexecs"] == 1
+        maps = MapOutputs(job, grid, splits)
+        for s in splits:
+            mo = run_map_task(job, s, grid, workdir)
+            maps.results[mo.task_id] = mo
+        os.unlink(maps.results["m00001"].segments[0][0])
+        policy = RecoveryPolicy(max_retries=0, fetch_failure_threshold=1)
+        rr = runner._run_task("r00000", "reduce", lambda: (0, maps.refs(0)),
+                              job, grid, policy, maps, new_memory_tally(),
+                              {})
+        assert policy.maps_reexecuted == 1
+        assert maps.epochs["m00001"] == 1
         assert rr.output == baseline.output
 
     def test_runner_rejects_bad_knobs(self):
