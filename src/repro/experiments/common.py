@@ -2,30 +2,23 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
+
+from repro import knobs
 
 __all__ = ["get_scale", "scaled", "make_runner", "ExperimentResult",
            "fmt_bytes", "pct"]
 
 
 def get_scale(default: float = 1.0) -> float:
-    """The ``REPRO_SCALE`` factor (1.0 = paper scale).
+    """The ``REPRO_SCALE`` factor (1.0 = paper scale), or ``default``.
 
     Invalid or non-positive values raise rather than silently running the
     wrong experiment size.
     """
-    raw = os.environ.get("REPRO_SCALE")
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_SCALE must be a float, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError(f"REPRO_SCALE must be positive, got {value}")
-    return value
+    scale = knobs.get("REPRO_SCALE")
+    return default if scale is None else scale
 
 
 def scaled(paper_value: int, default_scale: float, minimum: int = 1) -> int:
@@ -36,89 +29,34 @@ def scaled(paper_value: int, default_scale: float, minimum: int = 1) -> int:
 def make_runner(**runner_kwargs):
     """The execution backend every harness runs its jobs through.
 
-    Selected by ``REPRO_RUNNER`` (``serial``/``local`` -> in-process
-    loop, ``parallel`` -> multiprocess runtime; the CLI's ``--runner``
-    flag sets it) with worker count from ``REPRO_WORKERS``.  The
-    parallel runtime additionally honours ``REPRO_TASK_TIMEOUT`` (hard
-    per-attempt deadline, seconds), ``REPRO_RECOVERY_DIR`` (durable
-    checkpoint manifests there), and ``REPRO_RESUME`` (adopt a prior
-    interrupted run's completed tasks) -- the CLI's ``--task-timeout``,
-    ``--recovery-dir``, and ``--resume`` flags.  Both backends honour
-    the shuffle-transport knobs ``REPRO_TRANSPORT`` /
-    ``REPRO_FETCH_RETRIES`` / ``REPRO_FETCH_TIMEOUT`` (the CLI's
-    ``--transport`` / ``--fetch-retries`` / ``--fetch-timeout``), plus
-    the host-failure-domain knobs ``REPRO_NUM_HOSTS`` /
-    ``REPRO_MAX_HOST_REEXECS`` (the CLI's ``--num-hosts`` /
-    ``--max-host-reexecs``), and the memory knobs
-    ``REPRO_MEMORY_BUDGET`` / ``REPRO_MAX_INFLIGHT_BYTES`` /
-    ``REPRO_MAX_MEMORY_RETRIES`` (which travel inside the shuffle
-    config); the parallel runtime additionally honours
-    ``REPRO_WORKER_RLIMIT_BYTES`` (a real ``RLIMIT_AS`` cap applied to
-    forked workers).  Both backends produce byte-identical counters,
-    so paper measurements are runner-independent -- only wall-clock
-    changes.
+    ``REPRO_RUNNER`` picks it (``serial``/``local`` -> in-process loop,
+    ``parallel`` -> multiprocess runtime); the other knobs it honours are
+    entries of :data:`repro.knobs.KNOBS` (``repro run --help`` lists
+    them), and explicit keywords win over them.  Both backends produce
+    byte-identical counters, so paper measurements are
+    runner-independent -- only wall-clock changes.
     """
     from repro.mapreduce.runtime.shuffle import shuffle_config_from_env
 
-    shuffle = shuffle_config_from_env()
-    if shuffle is not None:
-        runner_kwargs.setdefault("shuffle", shuffle)
-    raw_hosts = os.environ.get("REPRO_NUM_HOSTS")
-    if raw_hosts is not None:
-        num_hosts = int(raw_hosts)
-        if num_hosts < 1:
-            raise ValueError(f"REPRO_NUM_HOSTS must be >= 1, got {num_hosts}")
-        runner_kwargs.setdefault("num_hosts", num_hosts)
-    raw_reexecs = os.environ.get("REPRO_MAX_HOST_REEXECS")
-    if raw_reexecs is not None:
-        max_host_reexecs = int(raw_reexecs)
-        if max_host_reexecs < 0:
-            raise ValueError(f"REPRO_MAX_HOST_REEXECS must be >= 0, "
-                             f"got {max_host_reexecs}")
-        runner_kwargs.setdefault("max_host_reexecs", max_host_reexecs)
-    name = os.environ.get("REPRO_RUNNER", "serial").lower()
-    if name in ("serial", "local"):
-        from repro.mapreduce.engine import LocalJobRunner
-
-        return LocalJobRunner(**runner_kwargs)
-    if name == "parallel":
+    knobs.check_rules()
+    parallel = knobs.get("REPRO_RUNNER") == "parallel"
+    settings = knobs.given(num_hosts="REPRO_NUM_HOSTS",
+                           max_host_reexecs="REPRO_MAX_HOST_REEXECS")
+    if parallel:
+        settings.update(knobs.given(
+            max_workers="REPRO_WORKERS", task_timeout="REPRO_TASK_TIMEOUT",
+            recovery_dir="REPRO_RECOVERY_DIR", resume="REPRO_RESUME",
+            worker_rlimit_bytes="REPRO_WORKER_RLIMIT_BYTES"))
+    if (shuffle := shuffle_config_from_env()) is not None:
+        settings["shuffle"] = shuffle
+    runner_kwargs = {**settings, **runner_kwargs}
+    if parallel:
         from repro.mapreduce.runtime import ParallelJobRunner
 
-        raw_workers = os.environ.get("REPRO_WORKERS")
-        if raw_workers is not None:
-            workers = int(raw_workers)
-            if workers < 1:
-                raise ValueError(
-                    f"REPRO_WORKERS must be >= 1, got {workers}")
-            runner_kwargs.setdefault("max_workers", workers)
-        raw_timeout = os.environ.get("REPRO_TASK_TIMEOUT")
-        if raw_timeout is not None:
-            timeout = float(raw_timeout)
-            if timeout <= 0:
-                raise ValueError(
-                    f"REPRO_TASK_TIMEOUT must be > 0, got {timeout}")
-            runner_kwargs.setdefault("task_timeout", timeout)
-        raw_rlimit = os.environ.get("REPRO_WORKER_RLIMIT_BYTES")
-        if raw_rlimit is not None:
-            rlimit_bytes = int(raw_rlimit)
-            if rlimit_bytes < 1:
-                raise ValueError(
-                    f"REPRO_WORKER_RLIMIT_BYTES must be >= 1, "
-                    f"got {rlimit_bytes}")
-            runner_kwargs.setdefault("worker_rlimit_bytes", rlimit_bytes)
-        recovery_dir = os.environ.get("REPRO_RECOVERY_DIR")
-        if recovery_dir:
-            runner_kwargs.setdefault("recovery_dir", recovery_dir)
-            resume = os.environ.get("REPRO_RESUME", "").lower()
-            runner_kwargs.setdefault(
-                "resume", resume in ("1", "true", "yes", "on"))
-        elif os.environ.get("REPRO_RESUME"):
-            raise ValueError(
-                "REPRO_RESUME requires REPRO_RECOVERY_DIR (the directory "
-                "holding the job manifest to resume from)")
         return ParallelJobRunner(**runner_kwargs)
-    raise ValueError(
-        f"REPRO_RUNNER must be 'serial' or 'parallel', got {name!r}")
+    from repro.mapreduce.engine import LocalJobRunner
+
+    return LocalJobRunner(**runner_kwargs)
 
 
 def fmt_bytes(n: int | float) -> str:

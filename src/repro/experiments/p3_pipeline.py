@@ -38,9 +38,9 @@ scale).
 
 from __future__ import annotations
 
-import os
 import time
 
+from repro import knobs
 from repro.experiments.common import ExperimentResult, scaled
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
@@ -200,9 +200,9 @@ def run(num_fuzz: int | None = None,
     grid = integer_grid((side, side), seed=17)
 
     if num_fuzz is None:
-        num_fuzz = int(os.environ.get("REPRO_P3_FUZZ", "3"))
+        num_fuzz = knobs.get("REPRO_P3_FUZZ")
     if seconds is None:
-        seconds = float(os.environ.get("REPRO_P3_SECONDS", "120"))
+        seconds = knobs.get("REPRO_P3_SECONDS")
     t0 = time.monotonic()
 
     result = ExperimentResult(

@@ -42,6 +42,7 @@ import shutil
 import tempfile
 import time
 
+from repro import knobs
 from repro.experiments.common import ExperimentResult, scaled
 from repro.mapreduce.codecs import NullCodec
 from repro.mapreduce.engine import LocalJobRunner
@@ -62,11 +63,6 @@ _QUERIES = ("subset-plain", "subset-agg", "histogram")
 #: block size for chunked-segment scenarios: small enough that the tiny
 #: harness grids still produce multiple blocks per segment
 _BLOCK_BYTES = 512
-
-
-def _skip_budget() -> int:
-    """The skip budget scenarios run under (``REPRO_SKIP_BUDGET``)."""
-    return int(os.environ.get("REPRO_SKIP_BUDGET", "4096"))
 
 
 def _build(grid, query: str, side: int, num_map_tasks: int,
@@ -197,14 +193,13 @@ def run(num_fuzz: int | None = None, seconds: float | None = None,
     (and left there for inspection), else throwaway temp dirs.
     """
     if num_fuzz is None:
-        num_fuzz = int(os.environ.get("REPRO_R2_FUZZ", "6"))
+        num_fuzz = knobs.get("REPRO_R2_FUZZ")
     if seconds is None:
-        raw = os.environ.get("REPRO_R2_SECONDS")
-        seconds = float(raw) if raw is not None else None
+        seconds = knobs.get("REPRO_R2_SECONDS")
     if side is None:
         side = max(8, scaled(12, default_scale=1.0))
-    budget = _skip_budget()
-    quarantine_root = os.environ.get("REPRO_QUARANTINE_DIR")
+    budget = knobs.get("REPRO_SKIP_BUDGET")
+    quarantine_root = knobs.get("REPRO_QUARANTINE_DIR")
 
     grid = integer_grid((side, side), seed=7, low=0, high=500)
     baselines = {

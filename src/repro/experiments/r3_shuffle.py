@@ -34,9 +34,9 @@ count and ``REPRO_R3_SECONDS`` the wall clock.  The bench
 
 from __future__ import annotations
 
-import os
 import time
 
+from repro import knobs
 from repro.experiments.common import ExperimentResult, scaled
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
@@ -153,9 +153,9 @@ def run(num_fuzz: int | None = None,
     grid = integer_grid((side, side), seed=11)
 
     if num_fuzz is None:
-        num_fuzz = int(os.environ.get("REPRO_R3_FUZZ", "4"))
+        num_fuzz = knobs.get("REPRO_R3_FUZZ")
     if seconds is None:
-        seconds = float(os.environ.get("REPRO_R3_SECONDS", "120"))
+        seconds = knobs.get("REPRO_R3_SECONDS")
     t0 = time.monotonic()
 
     result = ExperimentResult(

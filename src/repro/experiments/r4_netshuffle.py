@@ -36,9 +36,9 @@ that the stride codec measurably shrinks the wire.
 
 from __future__ import annotations
 
-import os
 import time
 
+from repro import knobs
 from repro.experiments.common import ExperimentResult, scaled
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
@@ -190,9 +190,9 @@ def run(num_fuzz: int | None = None,
     grid = integer_grid((side, side), seed=11)
 
     if num_fuzz is None:
-        num_fuzz = int(os.environ.get("REPRO_R4_FUZZ", "3"))
+        num_fuzz = knobs.get("REPRO_R4_FUZZ")
     if seconds is None:
-        seconds = float(os.environ.get("REPRO_R4_SECONDS", "120"))
+        seconds = knobs.get("REPRO_R4_SECONDS")
     t0 = time.monotonic()
 
     result = ExperimentResult(

@@ -37,6 +37,7 @@ import os
 import tempfile
 import time
 
+from repro import knobs
 from repro.experiments.common import ExperimentResult, scaled
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
@@ -187,9 +188,9 @@ def run(num_fuzz: int | None = None,
     grid = integer_grid((side, side), seed=11)
 
     if num_fuzz is None:
-        num_fuzz = int(os.environ.get("REPRO_R5_FUZZ", "3"))
+        num_fuzz = knobs.get("REPRO_R5_FUZZ")
     if seconds is None:
-        seconds = float(os.environ.get("REPRO_R5_SECONDS", "120"))
+        seconds = knobs.get("REPRO_R5_SECONDS")
     t0 = time.monotonic()
 
     result = ExperimentResult(

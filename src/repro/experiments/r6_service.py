@@ -32,6 +32,7 @@ import tempfile
 import threading
 import time
 
+from repro import knobs
 from repro.experiments.common import ExperimentResult
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.runtime.service import (
@@ -185,7 +186,7 @@ def _shed_service(root: str) -> tuple[JobService, ServiceEndpoint,
 def run(seconds: float | None = None) -> ExperimentResult:
     """Execute the R6 service-chaos matrix; returns the scenario table."""
     if seconds is None:
-        seconds = float(os.environ.get("REPRO_R6_SECONDS", "240"))
+        seconds = knobs.get("REPRO_R6_SECONDS")
     t0 = time.monotonic()
 
     result = ExperimentResult(

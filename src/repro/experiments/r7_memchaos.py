@@ -40,10 +40,10 @@ attacked.  Pinned here:
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
+from repro import knobs
 from repro.experiments.common import ExperimentResult, scaled
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
@@ -185,9 +185,9 @@ def run(num_fuzz: int | None = None,
     grid = integer_grid((side, side), seed=13)
 
     if num_fuzz is None:
-        num_fuzz = int(os.environ.get("REPRO_R7_FUZZ", "3"))
+        num_fuzz = knobs.get("REPRO_R7_FUZZ")
     if seconds is None:
-        seconds = float(os.environ.get("REPRO_R7_SECONDS", "120"))
+        seconds = knobs.get("REPRO_R7_SECONDS")
     t0 = time.monotonic()
 
     result = ExperimentResult(

@@ -27,6 +27,7 @@ from typing import Any
 from repro.mapreduce.job import SkipPolicy
 from repro.mapreduce.runtime.costmodel import WorkloadSummary
 from repro.mapreduce.runtime.fault import FaultInjector
+from repro.mapreduce.runtime.shuffle import ShuffleConfig
 
 __all__ = ["JobSpec", "build_workload", "build_injector",
            "estimate_workload"]
@@ -77,15 +78,9 @@ class JobSpec:
             raise ValueError("num_maps and num_reducers must be >= 1")
         if self.bins < 1:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
-        if self.memory_budget is not None and self.memory_budget < 256:
-            raise ValueError(
-                f"memory_budget must be >= 256 (one IFile block), "
-                f"got {self.memory_budget}")
-        if self.max_inflight_bytes is not None \
-                and self.max_inflight_bytes < 1:
-            raise ValueError(
-                f"max_inflight_bytes must be >= 1, "
-                f"got {self.max_inflight_bytes}")
+        # the shuffle config owns the memory knobs' ranges
+        ShuffleConfig(memory_budget=self.memory_budget,
+                      max_inflight_bytes=self.max_inflight_bytes)
         if self.query == "subset" and any(int(s) < 3 for s in self.shape):
             raise ValueError(
                 f"subset selects the interior box, so every extent must "

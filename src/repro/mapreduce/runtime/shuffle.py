@@ -43,6 +43,8 @@ from dataclasses import dataclass
 from threading import Lock
 from typing import Mapping, Sequence
 
+from repro import knobs
+from repro.knobs import ConfigError
 from repro.mapreduce.ifile import IFileStats, segment_digest
 from repro.mapreduce.metrics import C, Counters
 from repro.mapreduce.runtime.fault import Fault
@@ -66,15 +68,6 @@ __all__ = [
 ]
 
 TRANSPORTS = ("direct", "channel", "network")
-
-
-class ConfigError(ValueError):
-    """A shuffle configuration value is malformed or out of range.
-
-    Raised instead of a bare ``ValueError`` so a typo in an environment
-    variable or CLI flag surfaces as one readable sentence naming the
-    offending setting, not a traceback from ``int()``.
-    """
 
 
 @dataclass(frozen=True)
@@ -204,74 +197,24 @@ class ShuffleConfig:
                 f"got {self.max_memory_retries}")
 
 
-def _env_value(kwargs: dict, key: str, var: str, parse) -> None:
-    """Parse one environment variable into ``kwargs[key]``.
-
-    A malformed value raises :class:`ConfigError` naming the variable
-    and the offending text instead of leaking ``int()``'s traceback.
-    """
-    raw = os.environ.get(var)
-    if raw is None:
-        return
-    try:
-        kwargs[key] = parse(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"invalid {var}={raw!r}: expected "
-            f"{getattr(parse, '__name__', 'value')} ({exc})") from exc
-
-
-def _parse_bool(raw: str) -> bool:
-    """Parse a boolean environment value (``1/0/true/false/yes/no/on/off``)."""
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-_parse_bool.__name__ = "boolean (1/0/true/false/yes/no/on/off)"
-
-
 def shuffle_config_from_env() -> ShuffleConfig | None:
-    """A :class:`ShuffleConfig` from ``REPRO_TRANSPORT`` /
-    ``REPRO_FETCH_RETRIES`` / ``REPRO_FETCH_TIMEOUT`` /
-    ``REPRO_WIRE_CODEC`` / ``REPRO_SHUFFLE_PORT_BASE`` /
-    ``REPRO_PIPELINE`` / ``REPRO_STARVATION_THRESHOLD`` /
-    ``REPRO_MAX_INFLIGHT_BYTES`` / ``REPRO_MEMORY_BUDGET`` /
-    ``REPRO_MAX_MEMORY_RETRIES``, or ``None`` when none of them is set
+    """A :class:`ShuffleConfig` from the shuffle and memory knobs of
+    :data:`repro.knobs.KNOBS`, or ``None`` when none of them is set
     (runner default applies).
 
     Malformed values -- a non-integer retry count, a negative timeout,
     an unknown transport or codec -- raise :class:`ConfigError` with the
     variable name, never a raw ``ValueError`` traceback.
     """
-    kwargs: dict = {}
-    if (transport := os.environ.get("REPRO_TRANSPORT")) is not None:
-        kwargs["transport"] = transport
-    _env_value(kwargs, "fetch_retries", "REPRO_FETCH_RETRIES", int)
-    _env_value(kwargs, "fetch_timeout", "REPRO_FETCH_TIMEOUT", float)
-    if (wire_codec := os.environ.get("REPRO_WIRE_CODEC")) is not None:
-        from repro.mapreduce.codecs import available_codecs
-        if wire_codec not in available_codecs():
-            raise ConfigError(
-                f"invalid REPRO_WIRE_CODEC={wire_codec!r}: "
-                f"available codecs: {', '.join(available_codecs())}")
-        kwargs["wire_codec"] = wire_codec
-    _env_value(kwargs, "port_base", "REPRO_SHUFFLE_PORT_BASE", int)
-    _env_value(kwargs, "pipeline", "REPRO_PIPELINE", _parse_bool)
-    _env_value(kwargs, "starvation_threshold",
-               "REPRO_STARVATION_THRESHOLD", int)
-    _env_value(kwargs, "max_inflight_bytes", "REPRO_MAX_INFLIGHT_BYTES", int)
-    _env_value(kwargs, "memory_budget", "REPRO_MEMORY_BUDGET", int)
-    _env_value(kwargs, "max_memory_retries", "REPRO_MAX_MEMORY_RETRIES", int)
-    if not kwargs:
-        return None
-    try:
-        return ShuffleConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid shuffle configuration: {exc}") from exc
+    kwargs = knobs.given(
+        transport="REPRO_TRANSPORT", fetch_retries="REPRO_FETCH_RETRIES",
+        fetch_timeout="REPRO_FETCH_TIMEOUT", wire_codec="REPRO_WIRE_CODEC",
+        port_base="REPRO_SHUFFLE_PORT_BASE", pipeline="REPRO_PIPELINE",
+        starvation_threshold="REPRO_STARVATION_THRESHOLD",
+        max_inflight_bytes="REPRO_MAX_INFLIGHT_BYTES",
+        memory_budget="REPRO_MEMORY_BUDGET",
+        max_memory_retries="REPRO_MAX_MEMORY_RETRIES")
+    return ShuffleConfig(**kwargs) if kwargs else None
 
 
 class TransientFetchError(RuntimeError):

@@ -52,3 +52,49 @@ class TestCliFlags:
     def test_bad_workers_flag(self, monkeypatch):
         with pytest.raises(SystemExit):
             main(["run", "E1", "--workers", "0"])
+
+
+class TestParallelOnlyKnobs:
+    """Parallel-only knobs are rejected under the serial runner, from
+    the environment exactly as from the CLI."""
+
+    @pytest.mark.parametrize("var,value", [
+        ("REPRO_TASK_TIMEOUT", "5"),
+        ("REPRO_RECOVERY_DIR", "/nonexistent/manifests"),
+        ("REPRO_WORKER_RLIMIT_BYTES", "1073741824"),
+    ])
+    def test_serial_rejects_parallel_only_env(self, monkeypatch, var, value):
+        from repro.knobs import ConfigError
+
+        monkeypatch.setenv("REPRO_RUNNER", "serial")
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ConfigError, match=var):
+            make_runner()
+
+    def test_resume_requires_recovery_dir(self, monkeypatch):
+        from repro.knobs import ConfigError
+
+        monkeypatch.setenv("REPRO_RUNNER", "parallel")
+        monkeypatch.delenv("REPRO_RECOVERY_DIR", raising=False)
+        monkeypatch.setenv("REPRO_RESUME", "1")
+        with pytest.raises(ConfigError, match="REPRO_RECOVERY_DIR"):
+            make_runner()
+
+    def test_parallel_accepts_them(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_RUNNER", "parallel")
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "5")
+        monkeypatch.setenv("REPRO_RECOVERY_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_RESUME", "1")
+        with make_runner() as runner:
+            assert runner.recovery_dir == str(tmp_path)
+            assert runner.resume is True
+            assert runner._scheduler_kwargs["task_timeout"] == 5.0
+
+    def test_cli_flag_error_leaves_env_untouched(self, monkeypatch):
+        import os
+
+        monkeypatch.delenv("REPRO_RUNNER", raising=False)
+        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
+        with pytest.raises(SystemExit):
+            main(["run", "F7", "--task-timeout", "5"])
+        assert "REPRO_TASK_TIMEOUT" not in os.environ

@@ -408,3 +408,54 @@ class TestEventsSince:
         finally:
             endpoint.server.shutdown()
             thread.join(timeout=10)
+
+
+class TestServiceConfigFromEnv:
+    """The REPRO_SERVICE_* knobs resolve with readable errors."""
+
+    @pytest.fixture(autouse=True)
+    def _clean(self, monkeypatch):
+        import os
+
+        for name in list(os.environ):
+            if name.startswith("REPRO_SERVICE_"):
+                monkeypatch.delenv(name)
+
+    def test_defaults(self, tmp_path):
+        config = ServiceConfig.from_env(str(tmp_path))
+        assert config.max_workers is None
+        assert config.executors == 2
+        assert config.tenants == {}
+        assert config.admission == AdmissionConfig()
+        assert config.quantum_seconds == 5.0
+
+    def test_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "3")
+        monkeypatch.setenv("REPRO_SERVICE_TENANTS", "alice:2:4,bob:1:2:4096")
+        monkeypatch.setenv("REPRO_SERVICE_MAX_MEMORY", "1048576")
+        config = ServiceConfig.from_env(str(tmp_path))
+        assert config.max_workers == 3
+        assert config.tenants == {"alice": (2.0, 4, None),
+                                  "bob": (1.0, 2, 4096)}
+        assert config.admission.max_outstanding_memory_bytes == 1048576
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_worker_slots_range_checked(self, tmp_path, monkeypatch, value):
+        # 0 used to become the CPU count and -3 a single slot.
+        monkeypatch.setenv("REPRO_SERVICE_WORKERS", value)
+        with pytest.raises(ValueError, match="REPRO_SERVICE_WORKERS"):
+            ServiceConfig.from_env(str(tmp_path))
+
+    @pytest.mark.parametrize("raw,entry", [
+        ("a:x:1", "'a:x:1'"),
+        ("ok:1:1,b:2:two", "'b:2:two'"),
+        ("a:1", "'a:1'"),
+        ("a:1:1:lots", "'a:1:1:lots'"),
+    ])
+    def test_malformed_tenant_names_variable_and_entry(
+            self, tmp_path, monkeypatch, raw, entry):
+        monkeypatch.setenv("REPRO_SERVICE_TENANTS", raw)
+        with pytest.raises(ValueError) as err:
+            ServiceConfig.from_env(str(tmp_path))
+        assert "REPRO_SERVICE_TENANTS" in str(err.value)
+        assert f"tenant entry {entry}" in str(err.value)

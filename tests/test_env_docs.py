@@ -80,3 +80,14 @@ def test_service_knobs_documented():
                 "REPRO_SERVICE_MAX_OUTSTANDING_SECONDS",
                 "REPRO_SERVICE_TENANTS", "REPRO_SERVICE_QUANTUM"):
         assert var in documented, var
+
+
+
+def test_readme_table_is_the_knob_table():
+    """The README table is ``repro.knobs.markdown_table()`` verbatim, so
+    every row's default, range and effect cells are the knob table's
+    (``python -m repro.knobs`` prints it to paste)."""
+    from repro.knobs import markdown_table
+
+    with open(README, encoding="utf-8") as fh:
+        assert markdown_table() in fh.read()
